@@ -1,12 +1,15 @@
 // Microbenchmarks for the engine's hot paths: record/marker codecs — with
-// the §3.5 compact-vs-full marker ablation — state-store operations,
-// commit-tracker classification, window assignment, and the NEXMark
-// generator.
+// the §3.5 compact-vs-full marker ablation — state-store operations, the
+// stream-join expiry tick, commit-tracker classification, window
+// assignment, and the NEXMark generator.
 #include <benchmark/benchmark.h>
 
 // Exactly one TU per binary may define the replacement operator new/delete;
 // for this binary it is this file, enabling allocs_per_record counters.
 #include "bench/alloc_hook.h"
+
+#include <map>
+#include <memory>
 
 #include "bench/bench_common.h"
 #include "bench/bench_gbench_json.h"
@@ -16,6 +19,7 @@
 #include "src/core/commit_tracker.h"
 #include "src/core/marker.h"
 #include "src/core/operator.h"
+#include "src/core/operators.h"
 #include "src/core/record.h"
 #include "src/core/state_store.h"
 #include "src/core/window.h"
@@ -299,6 +303,77 @@ void BM_StateStoreSnapshot(benchmark::State& state) {
   state.counters["entries"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_StateStoreSnapshot)->Arg(1000)->Arg(10000)
+    ->Unit(benchmark::kMicrosecond);
+
+// Minimal context for driving one operator outside an engine.
+class BenchContext final : public OperatorContext {
+ public:
+  MapStateStore* GetStore(std::string_view name) override {
+    auto& slot = stores_[std::string(name)];
+    if (slot == nullptr) {
+      slot = std::make_unique<MapStateStore>(std::string(name), nullptr);
+    }
+    return slot.get();
+  }
+  Clock* clock() override { return MonotonicClock::Get(); }
+  const std::string& task_id() const override { return task_id_; }
+  uint32_t task_index() const override { return 0; }
+  MetricsRegistry* metrics() override { return &metrics_; }
+  TimeNs max_event_time() const override { return max_event_time_; }
+  void set_max_event_time(TimeNs t) { max_event_time_ = t; }
+
+ private:
+  std::string task_id_ = "bench/join/0";
+  MetricsRegistry metrics_;
+  std::map<std::string, std::unique_ptr<MapStateStore>> stores_;
+  TimeNs max_event_time_ = 0;
+};
+
+class DiscardCollector final : public Collector {
+ public:
+  void EmitTo(uint32_t, StreamRecord) override {}
+};
+
+// One stream-stream join timer tick with a full 10 s window buffered
+// (range(0) entries over both sides) and ~75 entries past the horizon, as
+// in one Q4 join task at 8k events/s. Expiry must cost O(due entries), not
+// O(buffered): the 40000 row must stay far below 4x the 10000 row. The
+// arrivals that make entries due are processed outside the timed region.
+void BM_JoinExpiryTick(benchmark::State& state) {
+  constexpr DurationNs kWindow = 10 * kSecond;
+  constexpr int kDuePerTick = 75;
+  const DurationNs spacing = kWindow / state.range(0);
+  BenchContext ctx;
+  StreamStreamJoinOperator op(
+      "j", kWindow,
+      [](std::string_view l, std::string_view) { return std::string(l); },
+      /*allowed_lateness=*/0);
+  op.Open(&ctx);
+  DiscardCollector out;
+  TimeNs et = 0;
+  uint64_t seq = 0;
+  // Distinct keys, so the arrivals' window probes never match.
+  auto arrive = [&](int64_t n) {
+    for (int64_t i = 0; i < n; ++i, ++seq) {
+      et += spacing;
+      op.Process(static_cast<uint32_t>(seq % 2),
+                 StreamRecord{"auction" + std::to_string(seq),
+                              std::string(48, 'v'), et},
+                 &out);
+    }
+    ctx.set_max_event_time(et);
+  };
+  arrive(state.range(0));
+  for (auto _ : state) {
+    state.PauseTiming();
+    arrive(kDuePerTick);
+    state.ResumeTiming();
+    op.OnTimer(0, &out);
+  }
+  state.counters["buffered"] = static_cast<double>(
+      ctx.GetStore("j.left")->size() + ctx.GetStore("j.right")->size());
+}
+BENCHMARK(BM_JoinExpiryTick)->Arg(10000)->Arg(40000)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_CommitTrackerClassify(benchmark::State& state) {

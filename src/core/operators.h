@@ -191,8 +191,6 @@ class StreamStreamJoinOperator final : public Operator {
   bool IsStateful() const override { return true; }
 
  private:
-  void ExpireSide(MapStateStore* store, TimeNs horizon);
-
   std::string store_prefix_;
   DurationNs window_;
   JoinFn join_;

@@ -17,16 +17,29 @@ std::string EncodeTimedValue(TimeNs et, std::string_view value) {
   return w.Take();
 }
 
-bool DecodeTimedValue(std::string_view raw, TimeNs* et, std::string* value) {
+// `value` aliases `raw`.
+bool DecodeTimedValue(std::string_view raw, TimeNs* et,
+                      std::string_view* value) {
   BinaryReader r(raw);
   auto t = r.ReadVarI64();
-  auto v = r.ReadString();
+  auto v = r.ReadStringView();
   if (!t.ok() || !v.ok()) {
     return false;
   }
   *et = *t;
-  *value = std::move(*v);
+  *value = *v;
   return true;
+}
+
+// Event-time index key of a join buffer entry. A value that does not decode
+// stays out of the index and is never expired.
+std::optional<TimeNs> TimedValueTime(std::string_view raw) {
+  TimeNs et;
+  std::string_view value;
+  if (!DecodeTimedValue(raw, &et, &value)) {
+    return std::nullopt;
+  }
+  return et;
 }
 
 std::string EncodePair(std::string_view a, std::string_view b) {
@@ -143,7 +156,7 @@ void WindowAggregateOperator::Process(uint32_t, StreamRecord record,
     std::string acc;
     if (pane) {
       TimeNs stored_et;
-      std::string stored_acc;
+      std::string_view stored_acc;
       if (DecodeTimedValue(*pane, &stored_et, &stored_acc)) {
         max_et = std::max(max_et, stored_et);
         acc = agg_.add(stored_acc, record);
@@ -165,7 +178,7 @@ void WindowAggregateOperator::EmitPane(std::string_view pane_key,
                                        Collector* out) {
   auto decoded = DecodeCompositeKey(pane_key);
   TimeNs max_et;
-  std::string acc;
+  std::string_view acc;
   if (!decoded.ok() || !DecodeTimedValue(pane_value, &max_et, &acc)) {
     return;
   }
@@ -235,6 +248,10 @@ void StreamStreamJoinOperator::Open(OperatorContext* ctx) {
   ctx_ = ctx;
   left_ = ctx->GetStore(store_prefix_ + ".left");
   right_ = ctx->GetStore(store_prefix_ + ".right");
+  // Expiry walks the index instead of scanning the buffers. Opting in here,
+  // before recovery fills the stores, indexes every restored entry too.
+  left_->IndexByTime(TimedValueTime);
+  right_->IndexByTime(TimedValueTime);
 }
 
 void StreamStreamJoinOperator::Process(uint32_t input, StreamRecord record,
@@ -253,7 +270,7 @@ void StreamStreamJoinOperator::Process(uint32_t input, StreamRecord record,
   prefix.push_back('\0');
   other->ScanPrefix(prefix, [&](std::string_view, std::string_view raw) {
     TimeNs other_et;
-    std::string other_value;
+    std::string_view other_value;
     if (!DecodeTimedValue(raw, &other_et, &other_value)) {
       return true;
     }
@@ -270,26 +287,10 @@ void StreamStreamJoinOperator::Process(uint32_t input, StreamRecord record,
   });
 }
 
-void StreamStreamJoinOperator::ExpireSide(MapStateStore* store,
-                                          TimeNs horizon) {
-  std::vector<std::string> doomed;
-  store->ScanPrefix("", [&](std::string_view key, std::string_view raw) {
-    TimeNs et;
-    std::string value;
-    if (DecodeTimedValue(raw, &et, &value) && et < horizon) {
-      doomed.emplace_back(key);
-    }
-    return true;
-  });
-  for (const auto& key : doomed) {
-    store->Delete(key);
-  }
-}
-
 void StreamStreamJoinOperator::OnTimer(TimeNs now, Collector* out) {
   TimeNs horizon = ctx_->max_event_time() - allowed_lateness_ - window_;
-  ExpireSide(left_, horizon);
-  ExpireSide(right_, horizon);
+  left_->DeleteOlderThan(horizon);
+  right_->DeleteOlderThan(horizon);
 }
 
 // --- StreamTableJoinOperator ---
@@ -341,7 +342,7 @@ void TableTableJoinOperator::Process(uint32_t input, StreamRecord record,
     return;
   }
   TimeNs other_et;
-  std::string other_value;
+  std::string_view other_value;
   if (!DecodeTimedValue(*match, &other_et, &other_value)) {
     return;
   }

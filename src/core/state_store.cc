@@ -1,5 +1,8 @@
 #include "src/core/state_store.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "src/common/serde.h"
 
 namespace impeller {
@@ -35,25 +38,56 @@ std::optional<uint32_t> MapStateStore::GetOwner(std::string_view key) const {
   return it->second.owner;
 }
 
+MapStateStore::Map::iterator MapStateStore::Assign(std::string_view key,
+                                                  std::string_view value) {
+  auto it = data_.find(key);
+  if (it == data_.end()) {
+    it = data_.emplace(std::string(key), Entry{std::string(value)}).first;
+    bytes_ += key.size() + value.size();
+  } else {
+    // Replaced: adjust for the value size delta only.
+    Unindex(*it);
+    bytes_ -= std::min(bytes_, it->second.value.size());
+    bytes_ += value.size();
+    it->second.value.assign(value);
+  }
+  Index(*it);
+  return it;
+}
+
+MapStateStore::Map::iterator MapStateStore::Erase(Map::iterator it) {
+  Unindex(*it);
+  bytes_ -= std::min(bytes_, it->first.size() + it->second.value.size());
+  return data_.erase(it);
+}
+
+void MapStateStore::Index(const Map::value_type& entry) {
+  if (!time_of_) {
+    return;
+  }
+  if (std::optional<TimeNs> t = time_of_(entry.second.value)) {
+    by_time_.emplace(*t, entry.first);
+  }
+}
+
+void MapStateStore::Unindex(const Map::value_type& entry) {
+  if (!time_of_) {
+    return;
+  }
+  if (std::optional<TimeNs> t = time_of_(entry.second.value)) {
+    by_time_.erase({*t, entry.first});
+  }
+}
+
 void MapStateStore::Put(std::string_view key, std::string_view value) {
   // Last writer wins: a write during record processing stamps the record's
   // input substream; a write outside it (timers) keeps the existing owner,
   // so timer-driven re-puts of a key never orphan it.
   uint32_t ctx = ctx_substream_ != nullptr ? *ctx_substream_
                                            : kUnownedSubstream;
-  auto it = data_.find(key);
-  if (it == data_.end()) {
-    it = data_.emplace(std::string(key), Entry{std::string(value), ctx})
-             .first;
-    bytes_ += key.size() + value.size();
-  } else {
-    // Replaced: adjust for the value size delta only.
-    bytes_ -= std::min(bytes_, it->second.value.size());
-    bytes_ += value.size();
-    it->second.value.assign(value);
-    if (ctx != kUnownedSubstream) {
-      it->second.owner = ctx;
-    }
+  auto it = Assign(key, value);
+  if (ctx != kUnownedSubstream) {
+    it->second.owner = ctx;
   }
   if (sink_) {
     sink_(ChangeLogView{name_, key, /*is_delete=*/false, value,
@@ -67,8 +101,7 @@ void MapStateStore::Delete(std::string_view key) {
     return;
   }
   uint32_t owner = it->second.owner;
-  bytes_ -= std::min(bytes_, it->first.size() + it->second.value.size());
-  data_.erase(it);
+  Erase(it);
   if (sink_) {
     sink_(ChangeLogView{name_, key, /*is_delete=*/true, {}, owner});
   }
@@ -123,26 +156,36 @@ void MapStateStore::DeleteRange(std::string_view from, std::string_view to) {
   }
 }
 
+void MapStateStore::IndexByTime(TimeOfFn time_of) {
+  time_of_ = std::move(time_of);
+  by_time_.clear();
+  for (const auto& entry : data_) {
+    Index(entry);
+  }
+}
+
+size_t MapStateStore::DeleteOlderThan(TimeNs horizon) {
+  std::vector<std::string> doomed;
+  for (auto it = by_time_.begin();
+       it != by_time_.end() && it->first < horizon; ++it) {
+    doomed.emplace_back(it->second);
+  }
+  std::sort(doomed.begin(), doomed.end());
+  for (const auto& key : doomed) {
+    Delete(key);
+  }
+  return doomed.size();
+}
+
 void MapStateStore::ApplyChange(const ChangeLogView& change) {
   if (change.is_delete) {
     auto it = data_.find(change.key);
     if (it != data_.end()) {
-      bytes_ -= std::min(bytes_, it->first.size() + it->second.value.size());
-      data_.erase(it);
+      Erase(it);
     }
     return;
   }
-  auto it = data_.find(change.key);
-  if (it == data_.end()) {
-    data_.emplace(std::string(change.key),
-                  Entry{std::string(change.value), change.substream});
-    bytes_ += change.key.size() + change.value.size();
-  } else {
-    bytes_ -= std::min(bytes_, it->second.value.size());
-    bytes_ += change.value.size();
-    it->second.value.assign(change.value);
-    it->second.owner = change.substream;
-  }
+  Assign(change.key, change.value)->second.owner = change.substream;
 }
 
 namespace {
@@ -190,11 +233,11 @@ Status MapStateStore::MergeSnapshot(std::string_view raw,
     count = *n;
   }
   for (uint64_t i = 0; i < count; ++i) {
-    auto key = r.ReadString();
+    auto key = r.ReadStringView();
     if (!key.ok()) {
       return key.status();
     }
-    auto value = r.ReadString();
+    auto value = r.ReadStringView();
     if (!value.ok()) {
       return value.status();
     }
@@ -209,14 +252,9 @@ Status MapStateStore::MergeSnapshot(std::string_view raw,
     if (keep && !keep(owner)) {
       continue;
     }
-    // Replacements (merging several handoff sources, or a snapshot over a
-    // prior merge) must shed the old entry's size or bytes_ drifts upward.
-    auto it = data_.find(*key);
-    if (it != data_.end()) {
-      bytes_ -= std::min(bytes_, it->first.size() + it->second.value.size());
-    }
-    bytes_ += key->size() + value->size();
-    data_.insert_or_assign(std::move(*key), Entry{std::move(*value), owner});
+    // A key may already be present: several handoff sources merge into one
+    // store, and a snapshot can land over a prior merge.
+    Assign(*key, *value)->second.owner = owner;
   }
   return OkStatus();
 }
@@ -225,8 +263,7 @@ void MapStateStore::RetainOwned(const OwnerFilter& keep) {
   for (auto it = data_.begin(); it != data_.end();) {
     uint32_t owner = it->second.owner;
     if (keep && !keep(owner)) {
-      bytes_ -= std::min(bytes_, it->first.size() + it->second.value.size());
-      it = data_.erase(it);
+      it = Erase(it);
     } else {
       it->second.owner = owner;  // filter may have normalized it
       ++it;
@@ -236,6 +273,7 @@ void MapStateStore::RetainOwned(const OwnerFilter& keep) {
 
 void MapStateStore::Clear() {
   data_.clear();
+  by_time_.clear();
   bytes_ = 0;
 }
 

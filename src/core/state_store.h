@@ -21,8 +21,10 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "src/common/status.h"
 #include "src/core/record.h"
@@ -39,6 +41,10 @@ using ChangeSink = std::function<void(const ChangeLogView&)>;
 // substream) before deciding; returns whether the entry is kept.
 using OwnerFilter = std::function<bool(uint32_t& owner)>;
 
+// Reads an entry's event time from its value for the event-time index;
+// nullopt leaves the entry out of the index, so it is never expired.
+using TimeOfFn = std::function<std::optional<TimeNs>(std::string_view value)>;
+
 class MapStateStore {
  public:
   // `ctx_substream` (optional) points at the runtime's current-record input
@@ -46,6 +52,9 @@ class MapStateStore {
   // pointing at kUnownedSubstream) leaves new entries unowned.
   MapStateStore(std::string name, ChangeSink sink,
                 const uint32_t* ctx_substream = nullptr);
+  // The event-time index aliases this store's keys; a copy would dangle.
+  MapStateStore(const MapStateStore&) = delete;
+  MapStateStore& operator=(const MapStateStore&) = delete;
 
   const std::string& name() const { return name_; }
 
@@ -80,6 +89,17 @@ class MapStateStore {
   // Deletes every key in [from, to); each deletion is captured.
   void DeleteRange(std::string_view from, std::string_view to);
 
+  // Opts the store into an event-time index over `time_of(value)`, built
+  // over the current entries. Every mutation path (Put, Delete, ApplyChange,
+  // snapshot restore/merge, RetainOwned, Clear) keeps it current, so change
+  // log replay, checkpoint restore and rescale handoff need no extra hooks.
+  void IndexByTime(TimeOfFn time_of);
+  // Deletes every indexed entry whose time is below `horizon`, in key order
+  // and through Delete, so the change log sees the same sequence as a
+  // key-order scan would produce. Costs O(expired · log n), not O(n).
+  // Returns the number of entries deleted.
+  size_t DeleteOlderThan(TimeNs horizon);
+
   size_t size() const { return data_.size(); }
   size_t SizeBytes() const { return bytes_; }
 
@@ -103,14 +123,28 @@ class MapStateStore {
     std::string value;
     uint32_t owner = kUnownedSubstream;
   };
+  // std::less<> enables heterogeneous lookup: string_view keys probe the
+  // map without materializing temporary std::strings.
+  using Map = std::map<std::string, Entry, std::less<>>;
+
+  // Inserts or replaces a value without change capture, keeping bytes_ and
+  // the index current. A new entry starts unowned; the caller sets owner.
+  Map::iterator Assign(std::string_view key, std::string_view value);
+  // Removes an entry without change capture.
+  Map::iterator Erase(Map::iterator it);
+  void Index(const Map::value_type& entry);
+  void Unindex(const Map::value_type& entry);
 
   std::string name_;
   ChangeSink sink_;
   const uint32_t* ctx_substream_ = nullptr;
-  // std::less<> enables heterogeneous lookup: string_view keys probe the
-  // map without materializing temporary std::strings.
-  std::map<std::string, Entry, std::less<>> data_;
+  Map data_;
   size_t bytes_ = 0;
+  // Event-time index: (time, key) for each entry time_of_ can read. The
+  // views alias data_'s node keys, which stay put until their entry is
+  // erased (and Erase unindexes first). Empty when time_of_ is null.
+  TimeOfFn time_of_;
+  std::set<std::pair<TimeNs, std::string_view>> by_time_;
 };
 
 // Order-preserving composite keys for window panes and join buffers:

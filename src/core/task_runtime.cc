@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/common/hash.h"
 #include "src/common/logging.h"
 #include "src/common/serde.h"
 #include "src/core/stream.h"
@@ -68,6 +69,7 @@ TaskRuntime::TaskRuntime(TaskWiring wiring)
   uses_markers_ = tracker_.read_committed();
   capture_changes_ = uses_markers_ && wiring_.stage->stateful;
   changelog_tag_ = ChangeLogTag(task_id_);
+  commit_jitter_.Seed(Fnv1a(task_id_) ^ MixU64(wiring_.instance));
 }
 
 TaskRuntime::~TaskRuntime() = default;
@@ -1071,12 +1073,26 @@ sched::StepResult TaskRuntime::StepInit() {
   }
   const EngineConfig& cfg = wiring_.config;
   TimeNs now = wiring_.clock->Now();
-  next_commit_ = now + cfg.commit_interval;
+  next_commit_ = NextCommitDeadline(now);
   next_timer_ = now + cfg.timer_interval;
   next_flush_ = now + cfg.output_flush_interval;
   run_status_ = OkStatus();
   phase_ = Phase::kRunning;
   return sched::StepResult::Ready();
+}
+
+// Each commit interval is drawn uniformly from [3/4, 1] of the configured
+// one, so none is longer than configured. With a fixed interval, tasks whose
+// commits take equally long keep the phase they started with relative to
+// each other, and a task that commits just before its upstream's marker
+// lands waits a full extra interval for every record: a run's end-to-end
+// latency would hinge on start-up order. The jitter lets the phases wander,
+// so a run averages over them.
+TimeNs TaskRuntime::NextCommitDeadline(TimeNs now) {
+  DurationNs interval = wiring_.config.commit_interval;
+  return now + interval -
+         static_cast<DurationNs>(commit_jitter_.NextBounded(
+             static_cast<uint64_t>(interval / 4) + 1));
 }
 
 sched::StepResult TaskRuntime::StepRunning() {
@@ -1129,7 +1145,7 @@ sched::StepResult TaskRuntime::StepRunning() {
     if (!run_status_.ok()) {
       return FinishEpilogue();
     }
-    next_commit_ = wiring_.clock->Now() + cfg.commit_interval;
+    next_commit_ = NextCommitDeadline(wiring_.clock->Now());
   }
   if (*polled == 0) {
     return sched::StepResult::Idle(cfg.poll_interval);
@@ -1173,7 +1189,7 @@ sched::StepResult TaskRuntime::StepDraining() {
     if (!run_status_.ok()) {
       return FinishWithTail();
     }
-    next_commit_ = wiring_.clock->Now() + cfg.commit_interval;
+    next_commit_ = NextCommitDeadline(wiring_.clock->Now());
   }
   if (*polled > 0) {
     drain_quiet_until_ = wiring_.clock->Now() + drain_quiet_;

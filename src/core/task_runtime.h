@@ -27,6 +27,7 @@
 
 #include "src/common/arena.h"
 #include "src/common/retry.h"
+#include "src/common/rng.h"
 #include "src/core/checkpoint.h"
 #include "src/core/commit_tracker.h"
 #include "src/core/config.h"
@@ -261,6 +262,8 @@ class TaskRuntime final : public OperatorContext {
   sched::StepResult FinishWithTail();
   // Publishes final_status_ and flips to kDone.
   sched::StepResult FinishEpilogue();
+  // The deadline of the commit after one at `now`, jittered (see .cc).
+  TimeNs NextCommitDeadline(TimeNs now);
 
   TaskWiring wiring_;
   std::string task_id_;
@@ -363,6 +366,7 @@ class TaskRuntime final : public OperatorContext {
   Phase phase_ = Phase::kInit;
   Status run_status_;
   TimeNs next_commit_ = 0;
+  Rng commit_jitter_;
   TimeNs next_timer_ = 0;
   TimeNs next_flush_ = 0;
   DurationNs drain_quiet_ = 0;

@@ -1,5 +1,6 @@
 #include "src/obs/trace.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace impeller {
@@ -106,11 +107,20 @@ std::vector<TraceRecord> TraceCollector::Drain() {
     buffer->drained = buffer->written;
   }
   {
-    // Release buffers whose thread has exited (registry + local copy are
-    // the only remaining references); their records were just extracted.
+    // Release buffers whose thread has exited: a snapshotted buffer held
+    // only by the registry and the snapshot. A buffer registered after the
+    // snapshot also has two references (registry + its live thread), so
+    // membership in the snapshot is what tells the two apart. A thread may
+    // have written after its drain above and then exited; such a buffer is
+    // kept until a later Drain has extracted those records.
     std::lock_guard<std::mutex> lock(registry_mu_);
-    std::erase_if(buffers_, [](const std::shared_ptr<ThreadBuffer>& b) {
-      return b.use_count() == 2;
+    std::erase_if(buffers_, [&](const std::shared_ptr<ThreadBuffer>& b) {
+      if (b.use_count() != 2 ||
+          std::find(buffers.begin(), buffers.end(), b) == buffers.end()) {
+        return false;
+      }
+      std::lock_guard<std::mutex> buffer_lock(b->mu);
+      return b->drained == b->written;
     });
   }
   return out;

@@ -1,15 +1,20 @@
 // End-to-end engine tests on the word-count pipeline (paper Fig. 1/3):
 // exactly-once output under normal operation, read-committed egress,
-// duplicate-append suppression, garbage collection, and multi-stage flows.
+// duplicate-append suppression, garbage collection, multi-stage flows, and
+// stream-join recovery.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/core/stream.h"
+#include "src/protocols/barrier_coordinator.h"
 #include "tests/test_util.h"
 
 namespace impeller {
 namespace {
 
 using testutil::FastConfig;
+using testutil::ReadEgressLines;
 using testutil::ReadWordCounts;
 using testutil::WaitFor;
 using testutil::WordCountPlan;
@@ -228,6 +233,122 @@ TEST(EngineIntegrationTest, StreamStreamJoinPipeline) {
   ASSERT_TRUE(WaitFor([&] { return out->Get() >= 10; }))
       << "joined " << out->Get() << "/10";
   engine.Stop();
+}
+
+// Join recovery scenario, per key: phase A buffers two records a side;
+// the join task then (optionally) crashes mid-window and restarts; phase A2
+// joins against the restored buffers; phase B, 4.5 s later in event time,
+// moves the watermark past every phase-A entry. Each phase's results are
+// committed before the next phase is sent, so no expiry races a match.
+constexpr int kJoinKeys = 4;
+constexpr size_t kJoinResults = kJoinKeys * (4 + 5 + 1);
+
+struct JoinRun {
+  std::multiset<std::string> output;  // "key\tvalue\tevent_time"
+  size_t buffered = 0;                // entries left in j.left + j.right
+};
+
+Result<JoinRun> RunJoinRecovery(ProtocolKind protocol, bool crash) {
+  QueryBuilder qb("join");
+  qb.Ingress("left").Ingress("right");
+  qb.AddStage("kl", 1).ReadsFrom({"left"}).Map([](StreamRecord r) {
+    return r;
+  }).WritesTo("L");
+  qb.AddStage("kr", 1).ReadsFrom({"right"}).Map([](StreamRecord r) {
+    return r;
+  }).WritesTo("R");
+  qb.AddStage("joiner", 1)
+      .ReadsFrom({"L", "R"})
+      .JoinStreams("j", 1 * kSecond,
+                   [](std::string_view l, std::string_view r) {
+                     return std::string(l) + "+" + std::string(r);
+                   })
+      .Sink("join");
+  auto plan = qb.Build();
+  IMPELLER_RETURN_IF_ERROR(plan.status());
+
+  EngineOptions options;
+  options.config = FastConfig(protocol);
+  Engine engine(std::move(options));
+  IMPELLER_RETURN_IF_ERROR(engine.Submit(std::move(*plan)));
+  auto left = engine.NewProducer("gl", "left");
+  IMPELLER_RETURN_IF_ERROR(left.status());
+  auto right = engine.NewProducer("gr", "right");
+  IMPELLER_RETURN_IF_ERROR(right.status());
+
+  auto run_phase = [&](const std::vector<TimeNs>& left_ms,
+                       const std::vector<TimeNs>& right_ms,
+                       size_t results) -> Status {
+    for (int k = 0; k < kJoinKeys; ++k) {
+      std::string key = "k" + std::to_string(k);
+      for (TimeNs ms : left_ms) {
+        (*left)->Send(key, "L" + std::to_string(ms), ms * kMillisecond);
+      }
+      for (TimeNs ms : right_ms) {
+        (*right)->Send(key, "R" + std::to_string(ms), ms * kMillisecond);
+      }
+    }
+    IMPELLER_RETURN_IF_ERROR((*left)->Flush().status());
+    IMPELLER_RETURN_IF_ERROR((*right)->Flush().status());
+    bool done = WaitFor(
+        [&] {
+          auto out = ReadEgressLines(engine, "joiner", 1);
+          return out.ok() && out->size() >= results;
+        },
+        20 * kSecond);
+    return done ? OkStatus()
+                : DeadlineExceededError("join results never committed");
+  };
+
+  IMPELLER_RETURN_IF_ERROR(run_phase({100, 150}, {200, 250}, kJoinKeys * 4));
+  if (crash) {
+    if (protocol == ProtocolKind::kAlignedCheckpoint) {
+      // Two more completed checkpoints: the second began after phase A's
+      // results were out, so its snapshot holds the phase-A buffers.
+      BarrierCoordinator* coordinator = engine.tasks()->barrier_coordinator();
+      uint64_t target = coordinator->LatestCompleted() + 2;
+      if (!WaitFor([&] { return coordinator->LatestCompleted() >= target; },
+                   20 * kSecond)) {
+        return DeadlineExceededError("no checkpoint after phase A");
+      }
+    }
+    IMPELLER_RETURN_IF_ERROR(
+        engine.tasks()->RestartTask("join/joiner/0").status());
+  }
+  IMPELLER_RETURN_IF_ERROR(run_phase({400}, {500}, kJoinKeys * 9));
+  IMPELLER_RETURN_IF_ERROR(run_phase({5000}, {5100}, kJoinResults));
+  // Timer ticks (10 ms) expire the phase-A buffers behind the watermark.
+  MonotonicClock::Get()->SleepFor(200 * kMillisecond);
+  engine.Stop();
+
+  JoinRun run;
+  auto output = ReadEgressLines(engine, "joiner", 1);
+  IMPELLER_RETURN_IF_ERROR(output.status());
+  run.output = std::move(*output);
+  TaskRuntime* joiner = engine.tasks()->FindTask("join/joiner/0");
+  if (joiner == nullptr) {
+    return InternalError("join task missing");
+  }
+  run.buffered =
+      joiner->GetStore("j.left")->size() + joiner->GetStore("j.right")->size();
+  return run;
+}
+
+TEST(EngineIntegrationTest, StreamStreamJoinRecoveryMatchesFaultFreeRun) {
+  for (ProtocolKind protocol :
+       {ProtocolKind::kProgressMarking, ProtocolKind::kAlignedCheckpoint}) {
+    SCOPED_TRACE(ProtocolKindName(protocol));
+    auto reference = RunJoinRecovery(protocol, /*crash=*/false);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    auto recovered = RunJoinRecovery(protocol, /*crash=*/true);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(reference->output.size(), kJoinResults);
+    EXPECT_EQ(recovered->output, reference->output);
+    // Only phase B (one record a side per key) is inside the window.
+    EXPECT_EQ(reference->buffered, 2u * kJoinKeys);
+    EXPECT_EQ(recovered->buffered, 2u * kJoinKeys)
+        << "restored buffers must expire once the watermark passes them";
+  }
 }
 
 TEST(EngineIntegrationTest, MarkersStopWhenIdle) {

@@ -287,6 +287,37 @@ TEST(StreamStreamJoinTest, ExpiryPrunesOldEntries) {
   EXPECT_EQ(ctx.GetStore("j.left")->size(), 0u);
 }
 
+TEST(StreamStreamJoinTest, UndecodableBufferEntryIsNeverExpiredOrJoined) {
+  FakeContext ctx;
+  StreamStreamJoinOperator op(
+      "j", 5 * kSecond,
+      [](std::string_view l, std::string_view r) {
+        return std::string(l) + "+" + std::string(r);
+      },
+      0);
+  op.Open(&ctx);
+  CapturingCollector out;
+  op.Process(0, Rec("k", "L1", 1 * kSecond), &out);
+  // A leading event time followed by a truncated payload: the time alone
+  // reads, the value does not decode.
+  BinaryWriter w(8);
+  w.WriteVarI64(1 * kSecond);
+  w.WriteVarU64(100);  // payload length with no payload bytes
+  std::string bad_key = EncodeCompositeKey("k", 1);
+  MapStateStore* left = ctx.GetStore("j.left");
+  left->Put(bad_key, w.Take());
+  ASSERT_EQ(left->size(), 2u);
+
+  ctx.set_max_event_time(100 * kSecond);
+  op.OnTimer(0, &out);
+  EXPECT_EQ(left->size(), 1u) << "only the decodable entry expires";
+  EXPECT_TRUE(left->Get(bad_key).has_value());
+
+  // The probe skips it as well.
+  op.Process(1, Rec("k", "R1", 1 * kSecond), &out);
+  EXPECT_TRUE(out.emitted.empty());
+}
+
 TEST(StreamTableJoinTest, StreamProbesTable) {
   FakeContext ctx;
   StreamTableJoinOperator op("tbl", [](std::string_view s,

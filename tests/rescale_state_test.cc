@@ -19,6 +19,7 @@ namespace impeller {
 namespace {
 
 using testutil::FastConfig;
+using testutil::ReadEgressLines;
 using testutil::WaitFor;
 
 // --- windowed-aggregate rescale matrix ---
@@ -99,28 +100,6 @@ uint64_t AggProcessed(Engine& engine, uint32_t tasks) {
     }
   }
   return total;
-}
-
-// Committed egress as a canonical sorted multiset of
-// "key\tvalue\tevent_time" lines (cross-substream order is meaningless).
-Result<std::multiset<std::string>> CollectOutput(Engine& engine) {
-  std::multiset<std::string> lines;
-  for (uint32_t sub = 0; sub < 2; ++sub) {
-    auto consumer = engine.NewEgressConsumer("fmt", sub);
-    if (!consumer.ok()) {
-      return consumer.status();
-    }
-    auto records = (*consumer)->PollAll();
-    if (!records.ok()) {
-      return records.status();
-    }
-    for (const auto& r : *records) {
-      lines.insert(std::string(r.data.key) + "\t" +
-                   std::string(r.data.value) + "\t" +
-                   std::to_string(r.data.event_time));
-    }
-  }
-  return lines;
 }
 
 // Runs the pipeline, optionally rescaling `agg` between the two data
@@ -242,7 +221,7 @@ Result<std::multiset<std::string>> RunScenario(ProtocolKind protocol,
         std::to_string(ExpectedPanes()) + " panes fired");
   }
   engine.Stop();
-  return CollectOutput(engine);
+  return ReadEgressLines(engine, "fmt", 2);
 }
 
 class RescaleStateTest

@@ -3,6 +3,8 @@
 // store's captured change log to an empty store reproduces the original.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -199,6 +201,219 @@ TEST(StateStoreTest, MergesPreOwnershipSnapshotLeniently) {
                                  })
                   .ok());
   EXPECT_EQ(*claimed.GetOwner("a"), 3u);
+}
+
+// --- event-time index ---
+
+// Index test values: a leading varint event time, then a payload.
+std::string Timed(TimeNs t, std::string_view payload = "p") {
+  BinaryWriter w(payload.size() + 12);
+  w.WriteVarI64(t);
+  w.WriteString(payload);
+  return w.Take();
+}
+
+std::optional<TimeNs> TimeOf(std::string_view raw) {
+  BinaryReader r(raw);
+  auto t = r.ReadVarI64();
+  if (!t.ok()) {
+    return std::nullopt;
+  }
+  return *t;
+}
+
+// A store indexed by TimeOf whose captured changes are "+key" / "-key".
+// After any mutation path, DeleteOlderThan must agree with the scan it
+// replaces: a key-order ScanPrefix("") filtered on time < horizon.
+class TimeIndexTest : public ::testing::Test {
+ protected:
+  TimeIndexTest()
+      : store_("s",
+               [this](const ChangeLogView& c) {
+                 captured_.push_back((c.is_delete ? "-" : "+") +
+                                     std::string(c.key));
+               },
+               &ctx_) {
+    store_.IndexByTime(TimeOf);
+  }
+
+  std::vector<std::string> Keys() const {
+    std::vector<std::string> keys;
+    store_.ScanPrefix("", [&](std::string_view key, std::string_view) {
+      keys.emplace_back(key);
+      return true;
+    });
+    return keys;
+  }
+
+  void ExpectExpiresLikeScan(TimeNs horizon) {
+    std::vector<std::string> expected, kept;
+    store_.ScanPrefix("", [&](std::string_view key, std::string_view value) {
+      std::optional<TimeNs> t = TimeOf(value);
+      if (t && *t < horizon) {
+        expected.push_back("-" + std::string(key));
+      } else {
+        kept.emplace_back(key);
+      }
+      return true;
+    });
+    // A horizon that deletes all or nothing would not test much.
+    EXPECT_FALSE(expected.empty());
+    EXPECT_FALSE(kept.empty());
+    captured_.clear();
+    EXPECT_EQ(store_.DeleteOlderThan(horizon), expected.size());
+    EXPECT_EQ(captured_, expected);
+    EXPECT_EQ(Keys(), kept);
+    // Nothing below the horizon is left to find.
+    EXPECT_EQ(store_.DeleteOlderThan(horizon), 0u);
+  }
+
+  uint32_t ctx_ = kUnownedSubstream;
+  std::vector<std::string> captured_;
+  MapStateStore store_;
+};
+
+TEST_F(TimeIndexTest, Put) {
+  for (int i = 0; i < 20; ++i) {
+    store_.Put("k" + std::to_string(i), Timed((i * 7) % 20));
+  }
+  ExpectExpiresLikeScan(10);
+}
+
+TEST_F(TimeIndexTest, PutReplacingValueMovesItsTime) {
+  store_.Put("a", Timed(5));
+  store_.Put("b", Timed(50));
+  store_.Put("c", Timed(5));
+  store_.Put("a", Timed(50));  // moved past the horizon
+  store_.Put("b", Timed(3));   // moved below it
+  store_.Put("c", Timed(5, "same time, new payload"));
+  captured_.clear();
+  EXPECT_EQ(store_.DeleteOlderThan(10), 2u);
+  EXPECT_EQ(captured_, (std::vector<std::string>{"-b", "-c"}));
+  EXPECT_EQ(Keys(), std::vector<std::string>{"a"});
+  EXPECT_EQ(store_.DeleteOlderThan(51), 1u);
+  EXPECT_EQ(store_.size(), 0u);
+}
+
+TEST_F(TimeIndexTest, Delete) {
+  for (int i = 0; i < 20; ++i) {
+    store_.Put("k" + std::to_string(i), Timed(i));
+  }
+  for (int i = 0; i < 20; i += 2) {
+    store_.Delete("k" + std::to_string(i));
+  }
+  store_.DeleteRange("k15", "k17");
+  ExpectExpiresLikeScan(10);
+}
+
+TEST_F(TimeIndexTest, ApplyChange) {
+  for (int i = 0; i < 20; ++i) {
+    store_.ApplyChange(ChangeLogView{"s", "k" + std::to_string(i), false,
+                                     Timed(i), 0});
+  }
+  store_.ApplyChange(ChangeLogView{"s", "k3", true, {}, 0});
+  store_.ApplyChange(ChangeLogView{"s", "k4", false, Timed(40), 0});
+  store_.ApplyChange(ChangeLogView{"s", "k14", false, Timed(1), 0});
+  ExpectExpiresLikeScan(10);
+}
+
+TEST_F(TimeIndexTest, RestoreSnapshot) {
+  for (int i = 0; i < 20; ++i) {
+    store_.Put("stale" + std::to_string(i), Timed(i));
+  }
+  MapStateStore source("s", nullptr);
+  for (int i = 0; i < 20; ++i) {
+    source.Put("k" + std::to_string(i), Timed((i * 3) % 20));
+  }
+  ASSERT_TRUE(store_.RestoreSnapshot(source.SerializeSnapshot()).ok());
+  ExpectExpiresLikeScan(10);
+}
+
+TEST_F(TimeIndexTest, MergeSnapshotWithOwnerFilter) {
+  for (int i = 0; i < 10; ++i) {
+    store_.Put("k" + std::to_string(i), Timed(i));
+  }
+  uint32_t source_ctx = 0;
+  MapStateStore source("s", nullptr, &source_ctx);
+  for (int i = 0; i < 20; ++i) {
+    source_ctx = i % 2;
+    // Overlapping keys k0..k9 move their time; only odd owners merge.
+    source.Put("k" + std::to_string(i), Timed(20 - i));
+  }
+  ASSERT_TRUE(store_
+                  .MergeSnapshot(source.SerializeSnapshot(),
+                                 [](uint32_t& owner) { return owner == 1; })
+                  .ok());
+  EXPECT_EQ(store_.size(), 15u);  // k0..k9 plus odd k11..k19
+  ExpectExpiresLikeScan(10);
+}
+
+TEST_F(TimeIndexTest, RetainOwned) {
+  for (int i = 0; i < 20; ++i) {
+    ctx_ = i % 3;
+    store_.Put("k" + std::to_string(i), Timed(i));
+  }
+  store_.RetainOwned([](uint32_t& owner) { return owner != 1; });
+  ExpectExpiresLikeScan(10);
+}
+
+TEST_F(TimeIndexTest, Clear) {
+  for (int i = 0; i < 20; ++i) {
+    store_.Put("old" + std::to_string(i), Timed(i));
+  }
+  store_.Clear();
+  EXPECT_EQ(store_.DeleteOlderThan(100), 0u);
+  for (int i = 0; i < 20; ++i) {
+    store_.Put("k" + std::to_string(i), Timed(19 - i));
+  }
+  ExpectExpiresLikeScan(10);
+}
+
+TEST_F(TimeIndexTest, IndexesExistingEntriesAndSkipsUnreadableValues) {
+  store_.IndexByTime(nullptr);
+  for (int i = 0; i < 20; ++i) {
+    store_.Put("k" + std::to_string(i), Timed(i));
+  }
+  store_.Put("k3", "");  // no time: never indexed, never expired
+  EXPECT_EQ(store_.DeleteOlderThan(100), 0u) << "no index, no expiry";
+  store_.IndexByTime(TimeOf);
+  ExpectExpiresLikeScan(10);
+  EXPECT_TRUE(store_.Get("k3").has_value());
+}
+
+TEST_F(TimeIndexTest, RandomMutationsMatchScan) {
+  Rng rng(91);
+  for (int round = 0; round < 20; ++round) {
+    for (int op = 0; op < 200; ++op) {
+      std::string key = "k" + std::to_string(rng.NextBounded(50));
+      TimeNs t = static_cast<TimeNs>(rng.NextBounded(100));
+      ctx_ = static_cast<uint32_t>(rng.NextBounded(3));
+      switch (rng.NextBounded(4)) {
+        case 0:
+          store_.Delete(key);
+          break;
+        case 1:
+          store_.ApplyChange(ChangeLogView{"s", key, false, Timed(t), ctx_});
+          break;
+        default:
+          store_.Put(key, Timed(t));
+      }
+    }
+    if (round % 5 == 4) {
+      store_.RetainOwned([](uint32_t& owner) { return owner != 2; });
+    }
+    TimeNs horizon = 30 + static_cast<TimeNs>(round);
+    std::vector<std::string> expected;
+    store_.ScanPrefix("", [&](std::string_view key, std::string_view value) {
+      if (*TimeOf(value) < horizon) {
+        expected.push_back("-" + std::string(key));
+      }
+      return true;
+    });
+    captured_.clear();
+    store_.DeleteOlderThan(horizon);
+    EXPECT_EQ(captured_, expected) << "round " << round;
+  }
 }
 
 }  // namespace

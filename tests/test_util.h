@@ -5,8 +5,10 @@
 
 #include <functional>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -118,6 +120,29 @@ inline Result<std::map<std::string, int64_t>> ReadWordCounts(
     }
   }
   return counts;
+}
+
+// Committed egress of one sinking stage as a canonical sorted multiset of
+// "key\tvalue\tevent_time" lines (cross-substream order is meaningless).
+inline Result<std::multiset<std::string>> ReadEgressLines(
+    Engine& engine, std::string_view stage, uint32_t substreams) {
+  std::multiset<std::string> lines;
+  for (uint32_t sub = 0; sub < substreams; ++sub) {
+    auto consumer = engine.NewEgressConsumer(stage, sub);
+    if (!consumer.ok()) {
+      return consumer.status();
+    }
+    auto records = (*consumer)->PollAll();
+    if (!records.ok()) {
+      return records.status();
+    }
+    for (const auto& r : *records) {
+      lines.insert(std::string(r.data.key) + "\t" +
+                   std::string(r.data.value) + "\t" +
+                   std::to_string(r.data.event_time));
+    }
+  }
+  return lines;
 }
 
 }  // namespace testutil
