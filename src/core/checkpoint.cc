@@ -1,5 +1,7 @@
 #include "src/core/checkpoint.h"
 
+#include <algorithm>
+
 #include "src/common/logging.h"
 #include "src/common/serde.h"
 #include "src/core/gc.h"
@@ -42,6 +44,53 @@ Result<std::optional<CutInfo>> ExtractCut(const Envelope& env, Lsn lsn,
     return std::optional<CutInfo>(std::move(cut));
   }
   return std::optional<CutInfo>(std::nullopt);
+}
+
+Result<std::optional<CutInfo>> LastCommittedCut(SharedLog* log,
+                                                const std::string& task_id) {
+  std::string tag = TaskLogTag(task_id);
+  auto last = log->ReadLast(tag);
+  if (!last.ok()) {
+    return std::optional<CutInfo>(std::nullopt);
+  }
+  auto env = DecodeEnvelope(last->payload);
+  if (!env.ok()) {
+    return env.status();
+  }
+  auto cut = ExtractCut(*env, last->lsn, task_id);
+  if (!cut.ok()) {
+    return cut.status();
+  }
+  if (cut->has_value()) {
+    return cut;
+  }
+  // Records below the trim point are gone; starting there keeps the scan
+  // from stopping at kTrimmed before it reaches the retained cuts.
+  std::optional<CutInfo> best;
+  Lsn cursor = log->TrimPoint();
+  while (true) {
+    auto entry = log->ReadNext(tag, cursor);
+    if (!entry.ok()) {
+      if (entry.status().code() == StatusCode::kTrimmed) {
+        cursor = log->TrimPoint();  // a trim overtook the scan
+        continue;
+      }
+      break;
+    }
+    cursor = entry->lsn + 1;
+    auto e = DecodeEnvelope(entry->payload);
+    if (!e.ok()) {
+      return e.status();
+    }
+    auto c = ExtractCut(*e, entry->lsn, task_id);
+    if (!c.ok()) {
+      return c.status();
+    }
+    if (c->has_value()) {
+      best = std::move(**c);
+    }
+  }
+  return best;
 }
 
 Result<ReplayStats> ReplayChangelog(
@@ -218,14 +267,28 @@ CheckpointWorker::CheckpointWorker(SharedLog* log, KvStore* store,
 
 CheckpointWorker::~CheckpointWorker() { Stop(); }
 
-void CheckpointWorker::RegisterTask(const std::string& task_id) {
+void CheckpointWorker::RegisterTask(const std::string& task_id,
+                                    Lsn start_lsn) {
   std::lock_guard<std::mutex> lock(mu_);
   auto shadow = std::make_unique<ShadowTask>();
   shadow->task_id = task_id;
+  shadow->cursor = start_lsn;
   if (gc_ != nullptr) {
-    gc_->PublishFloor("clog/" + task_id, 0);
+    gc_->PublishFloor(ChangeLogFloorSource(task_id), start_lsn);
   }
   tasks_.push_back(std::move(shadow));
+}
+
+void CheckpointWorker::UnregisterTask(const std::string& task_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  tasks_.erase(std::remove_if(tasks_.begin(), tasks_.end(),
+                              [&](const std::unique_ptr<ShadowTask>& t) {
+                                return t->task_id == task_id;
+                              }),
+               tasks_.end());
+  if (gc_ != nullptr) {
+    gc_->Remove(ChangeLogFloorSource(task_id));
+  }
 }
 
 void CheckpointWorker::Start() {
@@ -345,7 +408,7 @@ Status CheckpointWorker::WriteCheckpoint(ShadowTask& shadow) {
     // Change-log records below the checkpointed cut can be collected, but
     // the shadow's own cursor may trail the cut (pending uncommitted
     // suffix); never let GC outrun what we still need to read.
-    gc_->PublishFloor("clog/" + shadow.task_id,
+    gc_->PublishFloor(ChangeLogFloorSource(shadow.task_id),
                       std::min(meta.next_replay_lsn, shadow.cursor));
   }
   return OkStatus();

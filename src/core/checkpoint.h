@@ -54,6 +54,14 @@ struct CutInfo {
 Result<std::optional<CutInfo>> ExtractCut(const Envelope& env, Lsn lsn,
                                           std::string_view task_id);
 
+// Newest committed cut on a task's log, or nullopt if it never committed.
+// The tail record is the common case; a non-cut tail (e.g. an aborted
+// transaction's control record left by a crash) falls back to a forward
+// scan of what the log still holds (from its trim point) so the handoff
+// still finds the last *committed* positions.
+Result<std::optional<CutInfo>> LastCommittedCut(SharedLog* log,
+                                                const std::string& task_id);
+
 struct ReplayStats {
   uint64_t entries_read = 0;
   uint64_t changes_applied = 0;
@@ -92,9 +100,13 @@ class CheckpointWorker {
                    DurationNs interval, GcRegistry* gc);
   ~CheckpointWorker();
 
-  // Registers a stateful task for background checkpointing. Call before
-  // Start().
-  void RegisterTask(const std::string& task_id);
+  // Registers a stateful task for background checkpointing, reading its
+  // changelog from `start_lsn` (a task id revived by a rescale starts past
+  // the records of its earlier life, which GC may have collected). Until
+  // the first checkpoint, the change-log GC floor stays at `start_lsn`.
+  void RegisterTask(const std::string& task_id, Lsn start_lsn = 0);
+  // Stops checkpointing a retired task and drops its change-log GC floor.
+  void UnregisterTask(const std::string& task_id);
 
   void Start();
   void Stop();

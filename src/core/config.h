@@ -28,7 +28,8 @@ struct EngineConfig {
   ProtocolKind protocol = ProtocolKind::kProgressMarking;
 
   // Interval between progress markers / transaction commits / checkpoint
-  // barrier rounds.
+  // barrier rounds. Log garbage collection (always on) runs one pass per
+  // interval, since the floors it trims to only move at commits.
   DurationNs commit_interval = 100 * kMillisecond;
 
   // Interval between asynchronous state checkpoints (progress-marking mode).
@@ -55,10 +56,6 @@ struct EngineConfig {
   DurationNs heartbeat_interval = 50 * kMillisecond;
   DurationNs failure_timeout = 2 * kSecond;
   bool auto_restart = true;
-
-  // Garbage collection.
-  bool enable_gc = false;
-  DurationNs gc_interval = 5 * kSecond;
 
   // Shared-log sharding: per-shard sequencers interleaved by the metalog
   // into one total order. 1 = single sequencer (seed behavior).

@@ -17,6 +17,37 @@ void GcRegistry::Remove(const std::string& source) {
   floors_.erase(source);
 }
 
+void GcRegistry::JoinGroup(const std::string& group,
+                           const std::string& member, Lsn floor) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // One critical section: MinFloor never sees the group without either
+  // its own floor or the new member's.
+  floors_.erase(group);
+  floors_[member] = floor;
+  ++group_members_[group];
+}
+
+void GcRegistry::LeaveGroup(const std::string& group,
+                            const std::string& member) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = floors_.find(member);
+  if (it == floors_.end()) {
+    return;
+  }
+  Lsn floor = it->second;
+  floors_.erase(it);
+  size_t& members = group_members_[group];
+  if (members > 0 && --members == 0) {
+    floors_[group] = floor;
+  }
+}
+
+Lsn GcRegistry::FloorOf(const std::string& source) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = floors_.find(source);
+  return it == floors_.end() ? kInvalidLsn : it->second;
+}
+
 Lsn GcRegistry::MinFloor() const {
   std::lock_guard<std::mutex> lock(mu_);
   if (floors_.empty()) {
@@ -34,51 +65,33 @@ size_t GcRegistry::sources() const {
   return floors_.size();
 }
 
-GcWorker::GcWorker(SharedLog* log, GcRegistry* registry, Clock* clock,
-                   DurationNs interval)
-    : log_(log), registry_(registry), clock_(clock), interval_(interval) {}
+GcWorker::GcWorker(SharedLog* log, GcRegistry* registry, DurationNs interval)
+    : log_(log), registry_(registry), interval_(interval) {}
 
-GcWorker::~GcWorker() { Stop(); }
-
-void GcWorker::Start() {
-  if (running_.exchange(true)) {
-    return;
+sched::StepResult GcWorker::Step() {
+  if (stop_.load()) {
+    return sched::StepResult::Done();
   }
-  thread_ = JoiningThread([this] { Loop(); });
+  if (RunOnce()) {
+    return sched::StepResult::Ready();
+  }
+  return sched::StepResult::Idle(interval_);
 }
 
-void GcWorker::Stop() {
-  if (!running_.exchange(false)) {
-    return;
-  }
-  thread_.Join();
-}
-
-void GcWorker::Loop() {
-  TimeNs next = clock_->Now() + interval_;
-  while (running_.load()) {
-    TimeNs now = clock_->Now();
-    if (now < next) {
-      clock_->SleepFor(std::min<DurationNs>(next - now, 50 * kMillisecond));
-      continue;
-    }
-    RunOnce();
-    next = clock_->Now() + interval_;
-  }
-}
-
-void GcWorker::RunOnce() {
+bool GcWorker::RunOnce() {
   Lsn floor = registry_->MinFloor();
   if (floor == kInvalidLsn || floor <= last_trim_) {
-    return;
+    return false;
   }
-  Status st = log_->Trim(floor);
+  Lsn target = std::min(floor, last_trim_ + kMaxRecordsPerPass);
+  Status st = log_->Trim(target);
   if (!st.ok()) {
-    LOG_WARN << "GC trim to " << floor << " failed: " << st.ToString();
-    return;
+    LOG_WARN << "GC trim to " << target << " failed: " << st.ToString();
+    return false;
   }
-  last_trim_ = floor;
+  last_trim_ = target;
   trims_.fetch_add(1);
+  return target < floor;
 }
 
 }  // namespace impeller

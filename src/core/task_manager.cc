@@ -1,5 +1,7 @@
 #include "src/core/task_manager.h"
 
+#include <algorithm>
+
 #include "src/common/logging.h"
 #include "src/core/stream.h"
 
@@ -62,16 +64,25 @@ Status TaskManager::Submit(QueryPlan plan) {
     barrier_coordinator_->Configure(std::move(ingress_tags),
                                     std::move(task_ids));
   }
-  if (config_.enable_gc) {
-    gc_worker_ = std::make_unique<GcWorker>(log_, &gc_registry_, clock_,
-                                            config_.gc_interval);
+  gc_worker_ = std::make_unique<GcWorker>(log_, &gc_registry_,
+                                          config_.commit_interval);
+  if (config_.write_egress) {
+    // Results nobody has read yet are never collected: each egress
+    // substream is held until a consumer takes over (EgressConsumer).
+    for (const auto& [name, stream] : plan_.streams) {
+      if (stream.egress) {
+        for (uint32_t sub = 0; sub < stream.num_substreams; ++sub) {
+          gc_registry_.PublishFloor(EgressFloorGroup(DataTag(name, sub)), 0);
+        }
+      }
+    }
   }
   bool marker_mode = config_.protocol == ProtocolKind::kProgressMarking ||
                      config_.protocol == ProtocolKind::kKafkaTxn;
   if (marker_mode && config_.enable_checkpointing) {
     checkpoint_worker_ = std::make_unique<CheckpointWorker>(
         log_, checkpoint_store_, clock_, config_.snapshot_interval,
-        config_.enable_gc ? &gc_registry_ : nullptr);
+        &gc_registry_);
   }
 
   {
@@ -94,9 +105,8 @@ Status TaskManager::Submit(QueryPlan plan) {
   if (checkpoint_worker_ != nullptr) {
     checkpoint_worker_->Start();
   }
-  if (gc_worker_ != nullptr) {
-    gc_worker_->Start();
-  }
+  GcWorker* gc = gc_worker_.get();
+  gc_ticket_ = sched_->Submit([gc] { return gc->Step(); }, 0, "gc");
   if (barrier_coordinator_ != nullptr) {
     barrier_coordinator_->Start();
   }
@@ -124,7 +134,7 @@ Status TaskManager::SpawnLocked(TaskEntry& entry, const std::string& task_id) {
   wiring.clock = clock_;
   wiring.txn_coordinator = txn_coordinator_.get();
   wiring.barrier_coordinator = barrier_coordinator_.get();
-  wiring.gc = config_.enable_gc ? &gc_registry_ : nullptr;
+  wiring.gc = &gc_registry_;
   // Rescale handoff lives on the entry so a monitor restart mid-handoff
   // re-passes it instead of losing the old generation's cursors and state.
   wiring.initial_input_ends = entry.handoff_ends;
@@ -215,7 +225,9 @@ void TaskManager::Stop() {
     checkpoint_worker_->Stop();
   }
   if (gc_worker_ != nullptr) {
-    gc_worker_->Stop();
+    // Parked for at most one commit interval.
+    gc_worker_->RequestStop();
+    sched_->Wait(gc_ticket_);
   }
 }
 
@@ -322,49 +334,29 @@ class ScopeExit {
   F fn_;
 };
 
-// Newest committed cut on a task's log, or nullopt if it never committed.
-// The tail record is the common case; a non-cut tail (e.g. an aborted
-// transaction's control record left by a crash) falls back to a forward
-// scan so the handoff still finds the last *committed* positions.
-Result<std::optional<CutInfo>> LastCommittedCut(SharedLog* log,
-                                                const std::string& task_id) {
-  std::string tag = TaskLogTag(task_id);
-  auto last = log->ReadLast(tag);
-  if (!last.ok()) {
-    return std::optional<CutInfo>(std::nullopt);
+// The source's checkpoint as of the handoff, if it does not outrun the
+// source's final cut. Without one the new generation replays the source's
+// changelog from its GC floor: from 0, or from where a rescale registered
+// the id (records below belong to an earlier life of the id).
+void CaptureHandoffCheckpoint(KvStore* store, const GcRegistry& gc,
+                              HandoffSource& src) {
+  Lsn floor = gc.FloorOf(ChangeLogFloorSource(src.task_id));
+  src.replay_from = floor == kInvalidLsn ? 0 : floor;
+  auto meta_raw = store->Get(CheckpointMetaKey(src.task_id));
+  if (!meta_raw.ok()) {
+    return;
   }
-  auto env = DecodeEnvelope(last->payload);
-  if (!env.ok()) {
-    return env.status();
+  auto meta = DecodeCheckpointMeta(*meta_raw);
+  if (!meta.ok() || meta->cut_lsn == kInvalidLsn ||
+      meta->cut_lsn > src.cut_lsn) {
+    return;
   }
-  auto cut = ExtractCut(*env, last->lsn, task_id);
-  if (!cut.ok()) {
-    return cut.status();
+  auto blob = store->Get(CheckpointBlobKey(src.task_id));
+  if (!blob.ok()) {
+    return;
   }
-  if (cut->has_value()) {
-    return cut;
-  }
-  std::optional<CutInfo> best;
-  Lsn cursor = 0;
-  while (true) {
-    auto entry = log->ReadNext(tag, cursor);
-    if (!entry.ok()) {
-      break;
-    }
-    cursor = entry->lsn + 1;
-    auto e = DecodeEnvelope(entry->payload);
-    if (!e.ok()) {
-      return e.status();
-    }
-    auto c = ExtractCut(*e, entry->lsn, task_id);
-    if (!c.ok()) {
-      return c.status();
-    }
-    if (c->has_value()) {
-      best = std::move(**c);
-    }
-  }
-  return best;
+  src.snapshot = std::make_shared<const std::string>(std::move(*blob));
+  src.replay_from = meta->next_replay_lsn;
 }
 
 }  // namespace
@@ -451,7 +443,14 @@ Status TaskManager::RescaleStage(const std::string& stage_name,
   }
 
   // 2. Gather the handoff: every substream's consumed end, plus — for
-  //    stateful stages — the state-ownership transfer material.
+  //    stateful stages — the state-ownership transfer material. GC is held
+  //    where it is until the new generation's pins are in place: the
+  //    checkpoints captured below must still find their changelog suffix in
+  //    the log when the new generation replays it.
+  const std::string freeze_source = "rescale/" + stage_name;
+  gc_registry_.PublishFloor(freeze_source, log_->TrimPoint());
+  ScopeExit release_freeze(
+      [this, &freeze_source] { gc_registry_.Remove(freeze_source); });
   std::map<std::string, Lsn> ends;
   std::vector<HandoffSource> sources;
   std::shared_ptr<DirectHandoff> direct;
@@ -486,6 +485,7 @@ Status TaskManager::RescaleStage(const std::string& stage_name,
         src.default_substream = i;
         src.cut_lsn = (*cut)->lsn;
         src.txn_id = (*cut)->txn_id;
+        CaptureHandoffCheckpoint(checkpoint_store_, gc_registry_, src);
         sources.push_back(std::move(src));
       }
     }
@@ -510,7 +510,13 @@ Status TaskManager::RescaleStage(const std::string& stage_name,
   }
 
   // 3. Spawn the new generation; substream ownership is recomputed from the
-  //    new task count, and the handoff seeds each task's wiring.
+  //    new task count, and the handoff seeds each task's wiring. Each new
+  //    task pins the sources' changelogs from their captured checkpoints
+  //    until its first cut seals the handoff.
+  Lsn handoff_floor = kInvalidLsn;
+  for (const auto& src : sources) {
+    handoff_floor = std::min(handoff_floor, src.replay_from);
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     stage->num_tasks = new_tasks;
@@ -523,20 +529,33 @@ Status TaskManager::RescaleStage(const std::string& stage_name,
       entry.handoff_ends = ends;
       entry.handoff_sources = sources;
       entry.direct_handoff = direct;
+      if (handoff_floor != kInvalidLsn) {
+        gc_registry_.Remove(HandoffFloorSource(task_id));
+        gc_registry_.PublishFloor(HandoffFloorSource(task_id), handoff_floor);
+      }
       if (checkpoint_worker_ != nullptr && stage->stateful &&
           checkpoint_registered_.insert(task_id).second) {
-        checkpoint_worker_->RegisterTask(task_id);
+        // A revived id's changelog holds records of its earlier life: the
+        // shadow starts past them.
+        checkpoint_worker_->RegisterTask(task_id, log_->TailLsn());
       }
       IMPELLER_RETURN_IF_ERROR(SpawnLocked(entry, task_id));
     }
-    // Scale-down leftovers: keep the entries (their final cuts remain the
-    // handoff sources) but never restart them — a respawn at index >=
-    // num_tasks would own no substream and recompute the wrong range.
+    // Scale-down leftovers: keep the entries but never restart them — a
+    // respawn at index >= num_tasks would own no substream and recompute
+    // the wrong range. Their logs are needed only through the handoff
+    // pins above, so their own floors go.
     for (uint32_t i = new_tasks; i < old_tasks; ++i) {
-      auto it = tasks_.find(old_ids[i]);
+      const std::string& id = old_ids[i];
+      auto it = tasks_.find(id);
       if (it != tasks_.end()) {
         it->second.retired = true;
       }
+      if (checkpoint_worker_ != nullptr && checkpoint_registered_.erase(id)) {
+        checkpoint_worker_->UnregisterTask(id);
+      }
+      gc_registry_.Remove(TaskLogFloorSource(id));
+      gc_registry_.Remove(HandoffFloorSource(id));
     }
   }
 

@@ -157,6 +157,7 @@ class TaskManager {
   std::unique_ptr<CheckpointWorker> checkpoint_worker_;
   GcRegistry gc_registry_;
   std::unique_ptr<GcWorker> gc_worker_;
+  sched::Ticket gc_ticket_ = sched::kInvalidTicket;
 
   std::atomic<bool> running_{false};
   // Set (and never cleared) at the head of Stop(): restarts/replacements

@@ -55,6 +55,12 @@ struct HandoffSource {
   uint32_t default_substream = 0;
   Lsn cut_lsn = kInvalidLsn;  // LSN of the source's final cut
   uint64_t txn_id = 0;        // kafka-txn: committing transaction id
+  // The source's checkpoint as of the handoff (null: none not past the
+  // cut), captured because the source id's checkpoint may be overwritten
+  // by a later generation. Replay starts at `replay_from`, which the
+  // manager pins in the log until the new task seals the handoff.
+  std::shared_ptr<const std::string> snapshot;
+  Lsn replay_from = 0;
 };
 
 // Direct state handoff for protocols without a changelog (aligned
@@ -196,6 +202,9 @@ class TaskRuntime final : public OperatorContext {
     }
     return OwnsSubstream(owner);
   }
+  // Highest final cut among the handoff sources (kInvalidLsn: no handoff).
+  // This task's first post-rescale cut lands above it.
+  Lsn HandoffFence() const;
   // A handoff is pending until this task commits its first post-rescale cut
   // (whose LSN then exceeds every source's fence).
   bool HandoffPending() const;
@@ -244,7 +253,21 @@ class TaskRuntime final : public OperatorContext {
   bool IsBlocked(size_t slot, std::string_view producer) const;
 
   void RunTimers(TimeNs now);
-  void PublishGcFloors();
+
+  // GC floors (DESIGN.md §14). Input ends (last consumed LSN per input
+  // substream) become floors one past them.
+  void PublishInputFloors(const std::vector<std::pair<std::string, Lsn>>& ends);
+  // A cut at `cut_lsn` covering `ends` is durable: its inputs, the task-log
+  // record recovery reads back, and a sealed rescale handoff move the
+  // task's floors.
+  void OnCutDurable(Lsn cut_lsn,
+                    const std::vector<std::pair<std::string, Lsn>>& ends);
+  // Kafka-txn: collects the in-flight transaction's outcome (call once it
+  // is ready) and, on commit, advances the floors to it.
+  Status SettleTxn();
+  // Aligned: publishes the cursors of the newest acknowledged checkpoint
+  // the coordinator has completed (the one recovery would restore).
+  void PublishCompletedCheckpointFloors();
 
   std::vector<std::pair<std::string, Lsn>> CurrentInputEnds() const;
   std::vector<std::string> DownstreamMarkerTags() const;
@@ -347,14 +370,23 @@ class TaskRuntime final : public OperatorContext {
   std::set<std::string> epoch_touched_tags_;
   std::vector<std::pair<std::string, Lsn>> last_input_ends_;
 
-  // Kafka txn: at most one commit in flight.
-  std::shared_future<Status> txn_inflight_;
+  // Kafka txn: at most one commit in flight; its input ends become floors
+  // once phase two resolves with the task-log commit record's LSN.
+  std::shared_future<Result<Lsn>> txn_inflight_;
+  std::vector<std::pair<std::string, Lsn>> txn_inflight_ends_;
+  // Rescale handoff: the manager pins the sources' changelogs for this task
+  // until its first durable cut seals the handoff.
+  bool handoff_pin_held_ = false;
 
   // Aligned checkpointing.
   uint64_t last_completed_ckpt_ = 0;
   uint64_t align_ckpt_id_ = 0;  // 0 = no alignment in progress
   std::vector<uint32_t> barriers_arrived_;
   std::vector<Lsn> align_cursor_snapshot_;
+  // Input ends of checkpoints this task acknowledged, oldest first, until
+  // the coordinator completes them.
+  std::deque<std::pair<uint64_t, std::vector<std::pair<std::string, Lsn>>>>
+      acked_checkpoint_ends_;
   std::set<std::pair<size_t, std::string>> blocked_channels_;
   std::deque<std::pair<size_t, ReadyRecord>> sidelined_;
 

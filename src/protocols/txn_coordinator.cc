@@ -70,7 +70,7 @@ Status TxnCoordinator::AppendTxnStream(TxnControlKind kind, uint64_t txn_id,
   return OkStatus();
 }
 
-Result<std::shared_future<Status>> TxnCoordinator::CommitTransaction(
+Result<std::shared_future<Result<Lsn>>> TxnCoordinator::CommitTransaction(
     TxnRequest request) {
   // Phase one runs synchronously on the committing task's thread: two RPC
   // round trips plus two coordinator log appends (§3.6).
@@ -114,7 +114,7 @@ Result<std::shared_future<Status>> TxnCoordinator::CommitTransaction(
   auto pending = std::make_unique<PendingTxn>();
   pending->request = std::move(request);
   pending->txn_id = txn_id;
-  std::shared_future<Status> done = pending->done.get_future().share();
+  std::shared_future<Result<Lsn>> done = pending->done.get_future().share();
   if (!phase2_.Push(std::move(pending))) {
     return UnavailableError("coordinator stopped");
   }
@@ -213,7 +213,9 @@ void TxnCoordinator::WorkerLoop() {
     Status final = AppendTxnStream(TxnControlKind::kTxnCommitted, txn.txn_id,
                                    req.task_id, req.instance);
     committed_.fetch_add(1);
-    txn.done.set_value(final);
+    // The task-log record is the batch's last append.
+    txn.done.set_value(final.ok() ? Result<Lsn>(lsns->back())
+                                  : Result<Lsn>(final));
   }
 }
 

@@ -70,8 +70,10 @@ class TxnCoordinator {
   void Stop();
 
   // Runs phase one synchronously; returns a future resolved when phase two
-  // commits the transaction. kFenced when the instance was superseded.
-  Result<std::shared_future<Status>> CommitTransaction(TxnRequest request);
+  // commits the transaction, with the LSN of the commit record on the
+  // task's log. kFenced when the instance was superseded.
+  Result<std::shared_future<Result<Lsn>>> CommitTransaction(
+      TxnRequest request);
 
   const std::string& txn_stream_tag() const { return txn_stream_tag_; }
   uint64_t committed_txns() const { return committed_.load(); }
@@ -80,7 +82,7 @@ class TxnCoordinator {
   struct PendingTxn {
     TxnRequest request;
     uint64_t txn_id;
-    std::promise<Status> done;
+    std::promise<Result<Lsn>> done;
   };
 
   void SleepRpc();

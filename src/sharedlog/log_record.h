@@ -83,9 +83,14 @@ struct AppendRequest {
   uint64_t cond_value = 0;
 };
 
+// A record's tags, immutable and shared: the records of one batch that
+// carry the same tags (a flush targets one substream) share one list, and
+// copying a LogEntry out of the log bumps a refcount.
+using TagList = std::shared_ptr<const std::vector<std::string>>;
+
 struct LogEntry {
   Lsn lsn = kInvalidLsn;
-  std::vector<std::string> tags;
+  TagList tags;
   PayloadRef payload;
   TimeNs append_time = 0;   // when the producer issued the append
   TimeNs visible_time = 0;  // when readers can first observe it

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "src/common/logging.h"
 #include "src/fault/fault.h"
@@ -29,11 +30,12 @@ void Metalog::PublishCutLocked() {
           ViewEntry e;
           e.shard = s;
           e.local = local;
+          e.tags = &tags;
           e.visible_time = visible_time;
           e.durable_time = durable_time;
           entries_.push_back(e);
           for (const auto& tag : tags) {
-            tag_index_[tag].push_back(global);
+            tag_index_[tag].lsns.push_back(global);
           }
           global_of_[s].push_back(global);
         });
@@ -98,7 +100,7 @@ Lsn Metalog::FindFirstLocked(std::string_view tag, Lsn from) const {
   if (it == tag_index_.end()) {
     return kInvalidLsn;
   }
-  const std::vector<Lsn>& lsns = it->second;
+  const TagIndex& lsns = it->second;
   Lsn lower = std::max(from, base_lsn_);
   auto pos = std::lower_bound(lsns.begin(), lsns.end(), lower);
   if (pos == lsns.end()) {
@@ -152,13 +154,13 @@ Result<LogEntry> Metalog::ReadNext(std::string_view tag, Lsn from_lsn) {
       dup != kInvalidLsn) {
     return FetchLocked(*SlotLocked(dup));
   }
-  if (auto it = tag_trimmed_high_.find(tag);
-      it != tag_trimmed_high_.end() && from_lsn <= it->second) {
+  if (auto it = tag_index_.find(tag);
+      it != tag_index_.end() && it->second.TrimmedAtOrAbove(from_lsn)) {
     // The cursor provably points at a record of this tag that was garbage
     // collected; surface that instead of silently skipping data.
     return TrimmedError("cursor " + std::to_string(from_lsn) +
                         " at/below trimmed tag record " +
-                        std::to_string(it->second));
+                        std::to_string(it->second.trimmed_high));
   }
   Lsn lsn = FindFirstLocked(tag, from_lsn);
   if (lsn == kInvalidLsn) {
@@ -182,8 +184,8 @@ Result<LogEntry> Metalog::AwaitNext(std::string_view tag, Lsn from_lsn,
         dup != kInvalidLsn) {
       return FetchLocked(*SlotLocked(dup));
     }
-    if (auto it = tag_trimmed_high_.find(tag);
-        it != tag_trimmed_high_.end() && from_lsn <= it->second) {
+    if (auto it = tag_index_.find(tag);
+        it != tag_index_.end() && it->second.TrimmedAtOrAbove(from_lsn)) {
       return TrimmedError("cursor at/below trimmed tag record");
     }
     Lsn lsn = FindFirstLocked(tag, from_lsn);
@@ -222,8 +224,9 @@ Result<LogEntry> Metalog::ReadLast(std::string_view tag) {
     return NotFoundError("no record with tag");
   }
   TimeNs now = clock_->Now();
-  const std::vector<Lsn>& lsns = it->second;
-  for (auto rit = lsns.rbegin(); rit != lsns.rend(); ++rit) {
+  const TagIndex& lsns = it->second;
+  for (auto rit = std::make_reverse_iterator(lsns.end());
+       rit != std::make_reverse_iterator(lsns.begin()); ++rit) {
     const ViewEntry* entry = SlotLocked(*rit);
     if (entry == nullptr) {
       break;  // remaining entries are below the trim point
@@ -256,56 +259,78 @@ Lsn Metalog::TailLsn() const {
 }
 
 Status Metalog::Trim(Lsn new_trim_point, uint64_t* records_dropped) {
-  std::unique_lock<std::mutex> lock(mu_);
   if (records_dropped != nullptr) {
     *records_dropped = 0;
   }
-  if (new_trim_point > next_lsn_) {
-    return OutOfRangeError("trim point beyond tail");
-  }
-  if (new_trim_point <= base_lsn_) {
-    return OkStatus();  // idempotent / stale trim
-  }
-  uint64_t dropped = new_trim_point - base_lsn_;
-  // Per-shard trim prefix: a shard's local order is a subsequence of the
-  // global order, so the records of shard s below the global trim point are
-  // exactly a prefix of its local offsets.
-  std::vector<uint64_t> shard_base(shards_.size(), 0);
-  for (uint64_t i = 0; i < dropped; ++i) {
-    const ViewEntry& e = entries_[i];
-    shard_base[e.shard] = std::max(shard_base[e.shard], e.local + 1);
-  }
-  entries_.erase(entries_.begin(), entries_.begin() + dropped);
-  base_lsn_ = new_trim_point;
-  for (auto& [tag, lsns] : tag_index_) {
-    auto pos = std::lower_bound(lsns.begin(), lsns.end(), base_lsn_);
-    if (pos != lsns.begin()) {
-      tag_trimmed_high_[tag] = *(pos - 1);
-      lsns.erase(lsns.begin(), pos);
+  // Declared before the lock so the detached records are freed after it is
+  // released.
+  std::vector<std::vector<LogEntry>> detached(shards_.size());
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (new_trim_point > next_lsn_) {
+      return OutOfRangeError("trim point beyond tail");
+    }
+    if (new_trim_point <= base_lsn_) {
+      return OkStatus();  // idempotent / stale trim
+    }
+    uint64_t dropped = new_trim_point - base_lsn_;
+    // Per-shard trim prefix: a shard's local order is a subsequence of the
+    // global order, so the records of shard s below the global trim point
+    // are exactly a prefix of its local offsets.
+    std::vector<uint64_t> shard_base(shards_.size(), 0);
+    for (uint64_t i = 0; i < dropped; ++i) {
+      const ViewEntry& e = entries_[i];
+      shard_base[e.shard] = std::max(shard_base[e.shard], e.local + 1);
+    }
+    for (uint32_t s = 0; s < shards_.size(); ++s) {
+      if (shard_base[s] == 0) {
+        continue;
+      }
+      uint64_t drop_locals = shard_base[s] > global_of_base_[s]
+                                 ? shard_base[s] - global_of_base_[s]
+                                 : 0;
+      drop_locals = std::min<uint64_t>(drop_locals, global_of_[s].size());
+      global_of_[s].erase(global_of_[s].begin(),
+                          global_of_[s].begin() + drop_locals);
+      global_of_base_[s] += drop_locals;
+      detached[s] = shards_[s]->TrimTo(shard_base[s]);
+    }
+    // Only the tags of dropped records lose index entries, so the index
+    // sheds its prefix in time proportional to the records dropped. Records
+    // of one batch share their tag list: a repeat costs a pointer compare.
+    const std::vector<std::string>* last_tags = nullptr;
+    for (uint64_t i = 0; i < dropped; ++i) {
+      const std::vector<std::string>* tags = entries_[i].tags;
+      if (tags == last_tags) {
+        continue;
+      }
+      last_tags = tags;
+      for (const std::string& tag : *tags) {
+        tag_index_.find(tag)->second.TrimBelow(new_trim_point);
+      }
+    }
+    entries_.erase(entries_.begin(), entries_.begin() + dropped);
+    base_lsn_ = new_trim_point;
+    if (records_dropped != nullptr) {
+      *records_dropped = dropped;
     }
   }
-  for (uint32_t s = 0; s < shards_.size(); ++s) {
-    if (shard_base[s] == 0) {
-      continue;
-    }
-    uint64_t drop_locals = shard_base[s] > global_of_base_[s]
-                               ? shard_base[s] - global_of_base_[s]
-                               : 0;
-    drop_locals = std::min<uint64_t>(drop_locals, global_of_[s].size());
-    global_of_[s].erase(global_of_[s].begin(),
-                        global_of_[s].begin() + drop_locals);
-    global_of_base_[s] += drop_locals;
-    shards_[s]->TrimTo(shard_base[s]);
-  }
-  if (records_dropped != nullptr) {
-    *records_dropped = dropped;
-  }
-  lock.unlock();
   // Readers blocked in AwaitNext below the new trim point must observe
   // kTrimmed now, not after their visibility/deadline wait expires — on
   // every shard, not just the one holding the metalog tail.
   cv_.notify_all();
   return OkStatus();
+}
+
+void Metalog::TagIndex::TrimBelow(Lsn trim_point) {
+  while (head < lsns.size() && lsns[head] < trim_point) {
+    trimmed_high = lsns[head];
+    ++head;
+  }
+  if (head > lsns.size() / 2) {
+    lsns.erase(lsns.begin(), lsns.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
 }
 
 Lsn Metalog::TrimPoint() const {

@@ -70,7 +70,11 @@ class Metalog {
 
   // Drops every sequenced record with lsn < new_trim_point from the view
   // and from the owning shards. `records_dropped` (optional) reports how
-  // many records this call actually removed.
+  // many records this call actually removed. The view, the per-tag index
+  // and the shards shed the prefix under their mutexes in time proportional
+  // to the records dropped; the records themselves are freed after the
+  // mutexes are released, so a trim never stalls appenders or readers on
+  // freeing payloads.
   Status Trim(Lsn new_trim_point, uint64_t* records_dropped);
   Lsn TrimPoint() const;
 
@@ -86,6 +90,8 @@ class Metalog {
   struct ViewEntry {
     uint32_t shard = 0;
     uint64_t local = 0;
+    // The record's shared tag list, owned by the shard's copy of the record.
+    const std::vector<std::string>* tags = nullptr;
     TimeNs visible_time = 0;
     TimeNs durable_time = 0;
   };
@@ -130,10 +136,29 @@ class Metalog {
   template <typename V>
   using TagMap = std::unordered_map<std::string, V, TransparentStringHash,
                                     std::equal_to<>>;
-  TagMap<std::vector<Lsn>> tag_index_;
-  // Highest LSN ever trimmed per tag: a cursor at or below this value has
-  // provably missed records and must observe kTrimmed.
-  TagMap<Lsn> tag_trimmed_high_;
+  // One tag's LSNs, ascending. A trim advances `head` past the dropped
+  // entries and compacts the vector once more than half of it is dead, so
+  // shedding costs O(1) amortized per dropped entry while every read
+  // searches one contiguous array.
+  struct TagIndex {
+    std::vector<Lsn> lsns;
+    size_t head = 0;  // lsns[head..] are live
+    // Highest LSN ever trimmed for the tag (kInvalidLsn: none): a cursor
+    // at or below it has provably missed records and must see kTrimmed.
+    Lsn trimmed_high = kInvalidLsn;
+
+    std::vector<Lsn>::const_iterator begin() const {
+      return lsns.begin() + static_cast<std::ptrdiff_t>(head);
+    }
+    std::vector<Lsn>::const_iterator end() const { return lsns.end(); }
+    bool empty() const { return head == lsns.size(); }
+    bool TrimmedAtOrAbove(Lsn from_lsn) const {
+      return trimmed_high != kInvalidLsn && from_lsn <= trimmed_high;
+    }
+    // Drops the entries below `trim_point`.
+    void TrimBelow(Lsn trim_point);
+  };
+  TagMap<TagIndex> tag_index_;
   TagMap<Lsn> dup_pending_;
   uint64_t cuts_ = 0;
   bool closed_ = false;

@@ -7,6 +7,13 @@
 
 namespace impeller {
 
+namespace {
+
+// Distinct tag lists one batch shares among its records.
+constexpr size_t kMaxSharedTagLists = 8;
+
+}  // namespace
+
 LogShard::LogShard(uint32_t id, std::string log_name,
                    std::shared_ptr<LatencyModel> latency, Clock* clock)
     : id_(id),
@@ -86,10 +93,24 @@ Result<LogShard::AdmitOutcome> LogShard::Admit(
   out.count = reqs.size();
   out.ack_done = ack_done;
   out.injected_ack_delay = injected_ack_delay;
+  // A batch's records usually carry one of a few tag lists (a flush
+  // spreads over the substreams of one stream): share each list.
+  std::vector<TagList> batch_tags;
   for (auto& r : reqs) {
     Record rec;
     rec.entry.lsn = kInvalidLsn;  // stamped by the metalog at sequencing
-    rec.entry.tags = std::move(r.tags);
+    auto shared = std::find_if(
+        batch_tags.begin(), batch_tags.end(),
+        [&r](const TagList& tags) { return *tags == r.tags; });
+    if (shared != batch_tags.end()) {
+      rec.entry.tags = *shared;
+    } else {
+      rec.entry.tags =
+          std::make_shared<const std::vector<std::string>>(std::move(r.tags));
+      if (batch_tags.size() < kMaxSharedTagLists) {
+        batch_tags.push_back(rec.entry.tags);
+      }
+    }
     rec.entry.payload = std::move(r.payload);
     rec.entry.append_time = start;
     rec.entry.visible_time = ack_done + latency.delivery;
@@ -108,7 +129,7 @@ uint64_t LogShard::Sequence(uint64_t from_local, Lsn first_global,
        local < next_local_; ++local) {
     Record& rec = records_[local - base_local_];
     rec.entry.lsn = first_global + sequenced;
-    visit(local, rec.entry.lsn, rec.entry.tags, rec.entry.visible_time,
+    visit(local, rec.entry.lsn, *rec.entry.tags, rec.entry.visible_time,
           rec.durable_time);
     ++sequenced;
   }
@@ -142,14 +163,20 @@ bool LogShard::sealed() const {
   return sealed_;
 }
 
-void LogShard::TrimTo(uint64_t new_base_local) {
+std::vector<LogEntry> LogShard::TrimTo(uint64_t new_base_local) {
+  std::vector<LogEntry> detached;
   std::lock_guard<std::mutex> lock(mu_);
   if (new_base_local <= base_local_) {
-    return;
+    return detached;
   }
   uint64_t dropped = std::min(new_base_local, next_local_) - base_local_;
+  detached.reserve(dropped);
+  for (uint64_t i = 0; i < dropped; ++i) {
+    detached.push_back(std::move(records_[i].entry));
+  }
   records_.erase(records_.begin(), records_.begin() + dropped);
   base_local_ = new_base_local;
+  return detached;
 }
 
 }  // namespace impeller

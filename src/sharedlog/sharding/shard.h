@@ -101,7 +101,8 @@ class LogShard {
                              size_t batch_bytes, const FencingTable& meta);
 
   // Sequencing visitor: called once per record with its local offset and
-  // freshly assigned global LSN.
+  // freshly assigned global LSN. `tags` stays at its address for as long as
+  // the record is in the shard (and in the records TrimTo hands back).
   using SequenceVisitor = std::function<void(
       uint64_t local, Lsn global, const std::vector<std::string>& tags,
       TimeNs visible_time, TimeNs durable_time)>;
@@ -117,8 +118,9 @@ class LogShard {
   // the shard has dropped it.
   Result<LogEntry> EntryAt(uint64_t local) const;
 
-  // Drops all records with local offset < new_base_local.
-  void TrimTo(uint64_t new_base_local);
+  // Drops all records with local offset < new_base_local and hands them
+  // back, so the caller can free them after releasing its own locks.
+  std::vector<LogEntry> TrimTo(uint64_t new_base_local);
 
   // Seals the shard's sequencer (failover, DESIGN.md §10): every subsequent
   // Admit is rejected with kSealed before it can assign a local offset, so a

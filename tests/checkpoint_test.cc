@@ -69,6 +69,34 @@ TEST_F(CheckpointTest, ExtractCutFromMarker) {
   EXPECT_FALSE(other->has_value());
 }
 
+// The rescale handoff's cut lookup after GC: the task-log tail is not a
+// cut (an aborted transaction's control record), so LastCommittedCut scans
+// the task log. The scan must start at the trim point — from LSN 0 it would
+// stop at kTrimmed and report "never committed".
+TEST_F(CheckpointTest, LastCommittedCutScansFromTrimPoint) {
+  AppendMarker(1, 1);  // lsn 0: trimmed below
+  AppendChange(1, "a", "1");
+  Lsn cut = AppendMarker(1, 2);
+  RecordHeader h;
+  h.type = RecordType::kTxnControl;
+  h.producer = kTask;
+  h.instance = 1;
+  h.seq = ++seq_;
+  TxnControlBody body;
+  body.kind = TxnControlKind::kAbort;
+  AppendRequest req;
+  req.tags = {TaskLogTag(kTask)};
+  req.payload = EncodeEnvelope(h, EncodeTxnControlBody(body));
+  ASSERT_TRUE(log_.Append(std::move(req)).ok());
+  ASSERT_TRUE(log_.Trim(1).ok());
+
+  auto found = LastCommittedCut(&log_, kTask);
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  ASSERT_TRUE(found->has_value()) << "a trimmed first cut hid the last one";
+  EXPECT_EQ((*found)->lsn, cut);
+  EXPECT_EQ((*found)->marker_seq, 2u);
+}
+
 TEST_F(CheckpointTest, ReplayAppliesCommittedChanges) {
   AppendChange(1, "a", "1");
   AppendChange(1, "b", "2");

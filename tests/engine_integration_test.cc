@@ -106,8 +106,6 @@ TEST(EngineIntegrationTest, DuplicateIngressAppendsCountOnce) {
 TEST(EngineIntegrationTest, GarbageCollectionTrimsConsumedPrefix) {
   EngineOptions options;
   options.config = FastConfig(ProtocolKind::kProgressMarking);
-  options.config.enable_gc = true;
-  options.config.gc_interval = 50 * kMillisecond;
   options.config.snapshot_interval = 100 * kMillisecond;
   Engine engine(std::move(options));
   auto plan = WordCountPlan(1);
@@ -115,6 +113,11 @@ TEST(EngineIntegrationTest, GarbageCollectionTrimsConsumedPrefix) {
   ASSERT_TRUE(engine.Submit(std::move(*plan)).ok());
   auto producer = engine.NewProducer("gen", "lines");
   ASSERT_TRUE(producer.ok());
+  // GC always runs, but the log keeps egress results until a consumer has
+  // read them: keep one reading.
+  auto consumer = engine.NewEgressConsumer("count", 0);
+  ASSERT_TRUE(consumer.ok());
+  auto poll = [&] { ASSERT_TRUE((*consumer)->PollAll().ok()); };
   for (int round = 0; round < 20; ++round) {
     for (int i = 0; i < 20; ++i) {
       (*producer)->Send("k", "w" + std::to_string(i));
@@ -125,8 +128,12 @@ TEST(EngineIntegrationTest, GarbageCollectionTrimsConsumedPrefix) {
   Counter* out = engine.metrics()->GetCounter("out/wc");
   ASSERT_TRUE(WaitFor([&] { return out->Get() >= 400; }));
   // GC needs a checkpoint (change-log floor) plus trims; give it a moment.
-  ASSERT_TRUE(WaitFor([&] { return engine.log()->TrimPoint() > 0; },
-                      5 * kSecond))
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        poll();
+        return engine.log()->TrimPoint() > 0;
+      },
+      5 * kSecond))
       << "GC never trimmed; registry floors: "
       << engine.tasks()->gc_registry()->sources();
   // The pipeline keeps functioning after trimming.

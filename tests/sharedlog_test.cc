@@ -2,6 +2,8 @@
 // multi-tag appends, conditional-append fencing, trim, and metadata.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <thread>
 
 #include "src/common/threading.h"
@@ -204,6 +206,65 @@ TEST(SharedLogTest, TrimOnlyFlagsTagsThatLostRecords) {
   EXPECT_EQ(log.ReadNext("b", 0).status().code(), StatusCode::kTrimmed);
   // But from 2 it reads fine.
   EXPECT_TRUE(log.ReadNext("b", 2).ok());
+}
+
+// Trim detaches the prefix from every shard and sheds only the index
+// entries of the tags it dropped: every tag still reads exactly, across
+// shards, multi-tag records and repeated trims.
+TEST(SharedLogTest, TrimAcrossShardsKeepsEveryTagExact) {
+  SharedLogOptions options;
+  options.shards = 3;
+  SharedLog log(options);
+  const std::vector<std::string> tags = {"a", "b", "c", "d"};
+  std::map<std::string, std::vector<Lsn>> model;
+  for (int i = 0; i < 90; ++i) {
+    // Batches of one tag (as flushes are), plus a two-tag record (as
+    // markers are) every seventh append; "d" appears only late.
+    const std::string& tag = tags[i % 3];
+    std::vector<AppendRequest> batch;
+    batch.push_back(Req({tag}, std::to_string(i)));
+    batch.push_back(Req({tag}, std::to_string(i) + "+"));
+    if (i % 7 == 0) {
+      batch.push_back(Req({tag, i >= 60 ? "d" : "c"}, "m"));
+    }
+    std::vector<std::vector<std::string>> batch_tags;
+    for (const auto& r : batch) {
+      batch_tags.push_back(r.tags);
+    }
+    auto lsns = log.AppendBatch(batch);
+    ASSERT_TRUE(lsns.ok());
+    for (size_t j = 0; j < lsns->size(); ++j) {
+      for (const auto& t : batch_tags[j]) {
+        model[t].push_back((*lsns)[j]);
+      }
+    }
+  }
+  for (auto& [tag, lsns] : model) {
+    std::sort(lsns.begin(), lsns.end());
+  }
+  for (Lsn trim : {Lsn{40}, Lsn{41}, Lsn{120}}) {
+    ASSERT_TRUE(log.Trim(trim).ok());
+    for (const auto& [tag, lsns] : model) {
+      SCOPED_TRACE(tag + " after trim to " + std::to_string(trim));
+      auto first_kept = std::lower_bound(lsns.begin(), lsns.end(), trim);
+      if (first_kept != lsns.begin()) {
+        EXPECT_EQ(log.ReadNext(tag, 0).status().code(), StatusCode::kTrimmed);
+        EXPECT_EQ(log.ReadNext(tag, *(first_kept - 1)).status().code(),
+                  StatusCode::kTrimmed);
+      }
+      auto next = log.ReadNext(tag, trim);
+      if (first_kept == lsns.end()) {
+        EXPECT_EQ(next.status().code(), StatusCode::kNotFound);
+        continue;
+      }
+      ASSERT_TRUE(next.ok());
+      EXPECT_EQ(next->lsn, *first_kept);
+      auto last = log.ReadLast(tag);
+      ASSERT_TRUE(last.ok());
+      EXPECT_EQ(last->lsn, lsns.back());
+    }
+  }
+  EXPECT_EQ(log.stats().records_trimmed, 120u);
 }
 
 TEST(SharedLogTest, AwaitNextWakesOnAppend) {
