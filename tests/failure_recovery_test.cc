@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
+#include <string>
 
 #include "src/common/threading.h"
+#include "src/fault/fault.h"
 #include "tests/test_util.h"
 
 namespace impeller {
@@ -266,6 +269,74 @@ TEST_F(FailureRecoveryTest, StopRacingRestartNeverHangs) {
     EXPECT_EQ(late.status().code(), StatusCode::kUnavailable);
     expected_words_ = 0;
   }
+}
+
+// Unsafe never commits: a restart resumes at the input floor the last
+// instance published (DESIGN.md §14). That floor may only cover input whose
+// outputs reached the log, so a crash in the commit's flush re-processes
+// what the crashed instance consumed instead of skipping it.
+TEST(UnsafeRecoveryTest, CrashInCommitFlushLosesNoConsumedInput) {
+#if !defined(IMPELLER_FAULT_INJECTION_ENABLED)
+  GTEST_SKIP() << "built without IMPELLER_FAULT_INJECTION";
+#else
+  QueryBuilder qb("pass");
+  qb.Ingress("in");
+  qb.AddStage("copy", 1)
+      .ReadsFrom({"in"})
+      .Map([](StreamRecord r) { return r; })
+      .Sink("pass");
+  auto plan = qb.Build();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EngineOptions options;
+  options.config = FastConfig(ProtocolKind::kUnsafe);
+  // Outputs reach the log only through the commit's flush.
+  options.config.output_flush_interval = 60 * kSecond;
+  Engine engine(std::move(options));
+  ASSERT_TRUE(engine.Submit(std::move(*plan)).ok());
+
+  struct DisarmGuard {
+    ~DisarmGuard() { fault::FaultInjector::Get().Disarm(); }
+  } guard;
+  fault::FaultSchedule crash;
+  crash.point = "task/flush/pre";
+  crash.kind = fault::FaultKind::kCrash;
+  crash.detail_substr = "pass/copy/0";
+  crash.at_hit = 1;
+  fault::FaultInjector::Get().Arm({crash}, /*seed=*/1);
+
+  auto producer = engine.NewProducer("gen", "in");
+  ASSERT_TRUE(producer.ok());
+  constexpr int kRecords = 50;
+  for (int i = 0; i < kRecords; ++i) {
+    (*producer)->Send("k" + std::to_string(i), "v" + std::to_string(i));
+  }
+  ASSERT_TRUE((*producer)->Flush().ok());
+  ASSERT_TRUE(WaitFor([] {
+    return fault::FaultInjector::Get().FireCount("task/flush/pre") == 1;
+  })) << "the commit never flushed";
+  TaskRuntime* crashed = engine.tasks()->FindTask("pass/copy/0");
+  ASSERT_NE(crashed, nullptr);
+  ASSERT_TRUE(WaitFor([&] { return crashed->finished(); }));
+  fault::FaultInjector::Get().Disarm();
+
+  auto stats = engine.tasks()->RestartTask("pass/copy/0");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  auto consumer = engine.NewEgressConsumer("copy", 0);
+  ASSERT_TRUE(consumer.ok());
+  std::set<std::string> seen;
+  EXPECT_TRUE(WaitFor([&] {
+    auto records = (*consumer)->PollAll();
+    EXPECT_TRUE(records.ok()) << records.status().ToString();
+    if (records.ok()) {
+      for (const auto& r : *records) {
+        seen.insert(std::string(r.data.value));
+      }
+    }
+    return seen.size() == static_cast<size_t>(kRecords);
+  })) << "only " << seen.size() << "/" << kRecords
+      << " inputs reached the output";
+  engine.Stop();
+#endif
 }
 
 }  // namespace
