@@ -55,6 +55,15 @@
 namespace impeller {
 namespace bench {
 
+// `prefix` followed by `n` in decimal. Appending to a std::string keeps
+// Release builds free of GCC 12's false -Wrestrict on the inlined insert of
+// `"literal" + std::to_string(n)`.
+inline std::string Numbered(std::string_view prefix, long long n) {
+  std::string s(prefix);
+  s += std::to_string(n);
+  return s;
+}
+
 inline double EnvSeconds(const char* name, double fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr) {

@@ -126,7 +126,7 @@ void BM_SharedLogTrim(benchmark::State& state) {
     SharedLog log;
     for (int i = 0; i < 10000; ++i) {
       AppendRequest req;
-      req.tags = {"t" + std::to_string(i % 32)};
+      req.tags = {bench::Numbered("t", i % 32)};
       req.payload = "p";
       (void)log.Append(std::move(req));
     }
@@ -162,7 +162,7 @@ void BM_ShardedLogAppend(benchmark::State& state) {
   uint32_t want = static_cast<uint32_t>(state.thread_index()) % shards;
   std::string tag;
   for (int c = 0;; ++c) {
-    tag = "shard-tag/" + std::to_string(c);
+    tag = bench::Numbered("shard-tag/", c);
     if (log->ShardOfTag(tag) == want) {
       break;
     }

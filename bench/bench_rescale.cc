@@ -168,7 +168,7 @@ Result<RescaleMeasurement> MeasureRescale(ProtocolKind protocol,
     uint64_t n = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       for (int i = 0; i < 40; ++i) {
-        (*producer)->Send("u" + std::to_string(n % kKeys), "x");
+        (*producer)->Send(Numbered("u", n % kKeys), "x");
         ++n;
       }
       (void)(*producer)->Flush();
@@ -305,7 +305,7 @@ Result<DurationNs> MeasureAutoscaleReaction(uint64_t seed,
   Clock* clock = engine.clock();
   uint64_t sent = 0;
   auto send = [&](int category) {
-    (*producer)->Send("cat" + std::to_string(category),
+    (*producer)->Send(Numbered("cat", category),
                       std::to_string(100 + sent % 900));
     ++sent;
   };

@@ -192,14 +192,22 @@ EgressConsumer::EgressConsumer(SharedLog* log, std::string stream,
                                uint32_t substream, bool read_committed,
                                GcRegistry* gc)
     : tracker_(read_committed),
+      // Everything below the trim point is gone: start at the oldest record
+      // the log still holds.
       reader_(log, DataTag(stream, substream), 0, &tracker_,
-              /*start_lsn=*/0),
+              /*start_lsn=*/log->TrimPoint()),
       gc_(gc) {
   if (gc_ != nullptr) {
     static std::atomic<uint64_t> next_id{0};
     gc_group_ = EgressFloorGroup(reader_.tag());
     gc_source_ = gc_group_ + "#" + std::to_string(next_id.fetch_add(1));
     gc_->JoinGroup(gc_group_, gc_source_, reader_.next_lsn());
+    // A trim the GC worker chose before the join may have landed since the
+    // start was read; the join stops later ones at the start.
+    Lsn trim = log->TrimPoint();
+    if (trim > reader_.next_lsn()) {
+      reader_.Restore(trim, kInvalidLsn);
+    }
   }
 }
 

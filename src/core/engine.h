@@ -138,7 +138,8 @@ class IngressProducer {
 // commit filtering a downstream stage would (read-committed under marker
 // protocols, read-uncommitted otherwise).
 //
-// Log retention (DESIGN.md §14): with a GC registry, the consumer joins its
+// Log retention (DESIGN.md §14): a consumer starts at the log's trim point,
+// the oldest record still held. With a GC registry, it joins its
 // substream's retention group at construction, so the log keeps everything
 // from its start position. Each PollAll acknowledges what the previous
 // PollAll returned and lets GC collect it (records buffered behind an

@@ -505,7 +505,26 @@ Status TaskManager::RescaleStage(const std::string& stage_name,
       }
       DirectHandoff::Source src = it->second.runtime->ExportHandoff();
       merge_ends(src.input_ends);
+      if (it->second.index >= new_tasks) {
+        // Retired by this scale-down: keep its output sequence for the
+        // scale-up that revives the id (its state goes to the survivors).
+        DirectHandoff::Source sequence;
+        sequence.task_id = src.task_id;
+        sequence.seqmap = src.seqmap;
+        sequence.out_seq = src.out_seq;
+        retired_sequences_[id] = std::move(sequence);
+      }
       direct->sources.push_back(std::move(src));
+    }
+    // A revived id continues its earlier life's output sequence: downstream
+    // deduplication is keyed by producer id, so restarting at 0 would drop
+    // its outputs as duplicates.
+    for (uint32_t i = old_tasks; i < new_tasks; ++i) {
+      auto it = retired_sequences_.find(MakeTaskId(plan_.name, stage->name, i));
+      if (it != retired_sequences_.end()) {
+        direct->sources.push_back(std::move(it->second));
+        retired_sequences_.erase(it);
+      }
     }
   }
 

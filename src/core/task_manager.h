@@ -151,6 +151,9 @@ class TaskManager {
   // Task ids already registered with the checkpoint worker (RegisterTask
   // does not dedup; scale-up must only register genuinely new ids).
   std::set<std::string> checkpoint_registered_;
+  // Aligned/unsafe: the output sequence (seqmap, out_seq) of each id a
+  // scale-down retired, until a scale-up revives it (RescaleStage).
+  std::map<std::string, DirectHandoff::Source> retired_sequences_;
 
   std::unique_ptr<TxnCoordinator> txn_coordinator_;
   std::unique_ptr<BarrierCoordinator> barrier_coordinator_;

@@ -15,14 +15,6 @@
 
 namespace impeller {
 
-namespace {
-
-std::string AlignedSnapshotKey(std::string_view task_id, uint64_t ckpt_id) {
-  return "actl/" + std::string(task_id) + "/" + std::to_string(ckpt_id);
-}
-
-}  // namespace
-
 // Routes an operator's emissions: output 0 feeds the next operator in the
 // chain; outputs > 0 bypass the rest of the chain and go straight to the
 // stage's output streams (how Branch fans out mid-chain).
@@ -587,7 +579,7 @@ Status TaskRuntime::RestoreDirectHandoff() {
       out_seq_ = src.out_seq;
     }
   }
-  last_completed_ckpt_ = handoff.completed_ckpt_at_handoff;
+  last_finished_ckpt_ = handoff.completed_ckpt_at_handoff;
   recovery_stats_.performed = true;
   return OkStatus();
 }
@@ -626,17 +618,15 @@ void TaskRuntime::PublishProgress() {
 }
 
 Status TaskRuntime::RecoverAligned() {
-  auto id = BarrierCoordinator::ReadCompletedId(wiring_.checkpoint_store,
-                                                wiring_.plan->name);
-  if (!id.ok()) {
-    return OkStatus();  // no completed checkpoint: fresh start
+  IMPELLER_ASSIGN_OR_RETURN(
+      std::optional<BarrierCoordinator::CompletedSnapshot> snapshot,
+      BarrierCoordinator::ReadLatestSnapshot(wiring_.checkpoint_store,
+                                             wiring_.plan->name, task_id_));
+  if (!snapshot.has_value()) {
+    // No completed checkpoint, or this task has no snapshot in it.
+    return OkStatus();
   }
-  auto blob =
-      wiring_.checkpoint_store->Get(AlignedSnapshotKey(task_id_, *id));
-  if (!blob.ok()) {
-    return OkStatus();  // this task never participated in that checkpoint
-  }
-  auto sections = DecodeSnapshot(*blob);
+  auto sections = DecodeSnapshot(snapshot->blob);
   if (!sections.ok()) {
     return sections.status();
   }
@@ -674,9 +664,10 @@ Status TaskRuntime::RecoverAligned() {
       }
     }
   }
-  last_completed_ckpt_ = *id;
+  last_finished_ckpt_ = snapshot->checkpoint_id;
   recovery_stats_.performed = true;
   recovery_stats_.used_checkpoint = true;
+  recovery_stats_.aligned_checkpoint_id = snapshot->checkpoint_id;
   return OkStatus();
 }
 
@@ -971,20 +962,14 @@ void TaskRuntime::OnBarrier(size_t slot, const std::string& producer,
     return;
   }
   TRACE_INSTANT("protocol", "barrier");
-  if (checkpoint_id <= last_completed_ckpt_) {
-    return;  // stale barrier from before our recovery point
+  if (checkpoint_id <= last_finished_ckpt_) {
+    return;  // stale barrier: a round this task already finished
   }
   if (align_ckpt_id_ != 0 && checkpoint_id != align_ckpt_id_) {
     // The coordinator abandoned the previous round; unblock and restart.
     LOG_WARN << task_id_ << ": abandoning checkpoint " << align_ckpt_id_
              << " for " << checkpoint_id;
-    blocked_channels_.clear();
-    auto pending = std::move(sidelined_);
-    sidelined_.clear();
-    align_ckpt_id_ = 0;
-    for (auto& [pslot, record] : pending) {
-      ProcessReady(pslot, std::move(record));
-    }
+    EndAlignment();
   }
   if (align_ckpt_id_ == 0) {
     align_ckpt_id_ = checkpoint_id;
@@ -1003,10 +988,33 @@ void TaskRuntime::OnBarrier(size_t slot, const std::string& producer,
       return;
     }
   }
+  uint64_t id = align_ckpt_id_;
   Status st = CompleteAlignment();
-  if (!st.ok()) {
-    LOG_WARN << task_id_ << ": checkpoint " << align_ckpt_id_
-             << " failed: " << st.ToString();
+  if (st.ok() || Crashed() || st.code() == StatusCode::kFenced) {
+    // A crashed task neither declines nor processes input; a fenced one is
+    // a zombie, and the round belongs to the instance that replaced it.
+    return;
+  }
+  // Decline instead of holding the input blocked until the coordinator's
+  // ack timeout: the round is abandoned at once, the next round's
+  // completion deletes whatever this round wrote, and the sidelined
+  // records run now.
+  LOG_WARN << task_id_ << ": checkpoint " << id
+           << " failed: " << st.ToString();
+  last_finished_ckpt_ = id;
+  if (wiring_.barrier_coordinator != nullptr) {
+    wiring_.barrier_coordinator->DeclineCheckpoint(task_id_, id);
+  }
+  EndAlignment();
+}
+
+void TaskRuntime::EndAlignment() {
+  align_ckpt_id_ = 0;
+  blocked_channels_.clear();
+  auto pending = std::move(sidelined_);
+  sidelined_.clear();
+  for (auto& [slot, record] : pending) {
+    ProcessReady(slot, std::move(record));
   }
 }
 
@@ -1040,8 +1048,14 @@ Status TaskRuntime::CompleteAlignment() {
     }
     sections["cursors"] = w.Take();
   }
-  IMPELLER_RETURN_IF_ERROR(wiring_.checkpoint_store->Put(
-      AlignedSnapshotKey(task_id_, id), EncodeSnapshot(sections)));
+  {
+    // The encoded blob moves into the store: one copy fewer than Put.
+    std::vector<KvWriteOp> ops;
+    ops.push_back({BarrierCoordinator::SnapshotKey(task_id_, id),
+                   EncodeSnapshot(sections)});
+    IMPELLER_RETURN_IF_ERROR(
+        wiring_.checkpoint_store->WriteBatch(std::move(ops)));
+  }
   if (MaybeInjectCrash("task/checkpoint/mid")) {
     // Snapshot stored but barriers never forwarded: the round times out at
     // the coordinator, downstream unblocks on the next round's barriers, and
@@ -1099,14 +1113,8 @@ Status TaskRuntime::CompleteAlignment() {
   if (wiring_.barrier_coordinator != nullptr) {
     wiring_.barrier_coordinator->AckCheckpoint(task_id_, id);
   }
-  last_completed_ckpt_ = id;
-  align_ckpt_id_ = 0;
-  blocked_channels_.clear();
-  auto pending = std::move(sidelined_);
-  sidelined_.clear();
-  for (auto& [slot, record] : pending) {
-    ProcessReady(slot, std::move(record));
-  }
+  last_finished_ckpt_ = id;
+  EndAlignment();
   ResetEpochScratch();
   return OkStatus();
 }

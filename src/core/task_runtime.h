@@ -120,6 +120,8 @@ struct RecoveryStats {
   // Stateful rescale: bytes of keyed state this task acquired and
   // re-appended into its own changelog during the handoff.
   uint64_t handoff_state_bytes = 0;
+  // Aligned: the completed checkpoint whose snapshot was restored.
+  uint64_t aligned_checkpoint_id = 0;
 };
 
 class TaskRuntime final : public OperatorContext {
@@ -250,6 +252,8 @@ class TaskRuntime final : public OperatorContext {
   void OnBarrier(size_t slot, const std::string& producer,
                  uint64_t checkpoint_id, Lsn lsn);
   Status CompleteAlignment();
+  // Clears the alignment in progress and runs the sidelined records.
+  void EndAlignment();
   bool IsBlocked(size_t slot, std::string_view producer) const;
 
   void RunTimers(TimeNs now);
@@ -379,7 +383,9 @@ class TaskRuntime final : public OperatorContext {
   bool handoff_pin_held_ = false;
 
   // Aligned checkpointing.
-  uint64_t last_completed_ckpt_ = 0;
+  // The newest round this task acknowledged, declined or recovered from;
+  // barriers up to it are stale.
+  uint64_t last_finished_ckpt_ = 0;
   uint64_t align_ckpt_id_ = 0;  // 0 = no alignment in progress
   std::vector<uint32_t> barriers_arrived_;
   std::vector<Lsn> align_cursor_snapshot_;

@@ -196,6 +196,16 @@ Status KvStore::WriteBatch(std::vector<KvWriteOp> ops) {
 
 Result<std::string> KvStore::Get(std::string_view key) const {
   TRACE_SPAN("kv", "get");
+  // Fault probe: a delay widens the window between a reader's lookups (an
+  // aligned recovery racing a round that completes meanwhile).
+  if (auto f = IMPELLER_FAULT_PROBE("kv/get", key, fault::kNoLsn)) {
+    if (f.kind == fault::FaultKind::kError) {
+      return UnavailableError("injected kv read failure");
+    }
+    if (f.kind == fault::FaultKind::kDelay) {
+      clock_->SleepFor(f.delay);
+    }
+  }
   std::lock_guard<std::mutex> lock(mu_);
   auto it = data_.find(std::string(key));
   if (it == data_.end()) {
@@ -219,6 +229,19 @@ std::vector<std::pair<std::string, std::string>> KvStore::ScanPrefix(
       break;
     }
     out.emplace_back(it->first, it->second);
+  }
+  return out;
+}
+
+std::vector<std::string> KvStore::ScanKeys(std::string_view prefix) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::string> out;
+  for (auto it = data_.lower_bound(std::string(prefix)); it != data_.end();
+       ++it) {
+    if (it->first.compare(0, prefix.size(), prefix) != 0) {
+      break;
+    }
+    out.push_back(it->first);
   }
   return out;
 }

@@ -62,6 +62,8 @@ class KvStore {
   // All key-value pairs whose key starts with `prefix`, in key order.
   std::vector<std::pair<std::string, std::string>> ScanPrefix(
       std::string_view prefix) const;
+  // The keys alone (no value copies), in key order.
+  std::vector<std::string> ScanKeys(std::string_view prefix) const;
 
   size_t size() const;
   uint64_t bytes_written() const;

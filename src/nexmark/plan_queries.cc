@@ -48,7 +48,9 @@ namespace {
 using plan::PlanBuilder;
 
 PlanBuilder MakePlanBuilder(int number, const NexmarkQueryOptions& opt) {
-  return PlanBuilder("q" + std::to_string(number), opt.tasks_per_stage);
+  std::string name = "q";
+  name += std::to_string(number);
+  return PlanBuilder(name, opt.tasks_per_stage);
 }
 
 Result<plan::LogicalPlan> PlanQ1(const NexmarkQueryOptions& opt) {

@@ -12,7 +12,9 @@ using namespace nexmark;  // NOLINT(build/namespaces)
 namespace {
 
 QueryBuilder MakeBuilder(int number) {
-  return QueryBuilder("q" + std::to_string(number));
+  std::string name = "q";
+  name += std::to_string(number);
+  return QueryBuilder(name);
 }
 
 // --- Q1: currency conversion (USD -> EUR), map + filter ---
@@ -242,7 +244,9 @@ std::vector<std::string> NexmarkIngressStreams(int number) {
 }
 
 std::string NexmarkSinkName(int number) {
-  return "q" + std::to_string(number);
+  std::string name = "q";
+  name += std::to_string(number);
+  return name;
 }
 
 std::string NexmarkSinkStage(int number) {

@@ -61,7 +61,8 @@ std::string BoundaryStreamName(const LogicalPlan& plan,
                          ? plan.name + "." + producer.id
                          : producer.stream;
   if (plan.ConsumersOf(producer.id).size() > 1) {
-    base += "." + std::string(consumer_id);
+    base += '.';
+    base += consumer_id;
   }
   return base;
 }

@@ -1,5 +1,8 @@
 #include "src/protocols/barrier_coordinator.h"
 
+#include <algorithm>
+#include <cstdlib>
+
 #include "src/common/logging.h"
 #include "src/common/serde.h"
 #include "src/core/commit_tracker.h"
@@ -14,6 +17,15 @@ namespace {
 
 std::string CompletedMetaKey(const std::string& query) {
   return "ackpt-meta/" + query;
+}
+
+// Every snapshot key of `query`'s tasks starts with this (task ids start
+// with the query name).
+std::string SnapshotPrefix(const std::string& query) {
+  std::string prefix = "actl/";
+  prefix += query;
+  prefix += '/';
+  return prefix;
 }
 
 }  // namespace
@@ -39,7 +51,29 @@ void BarrierCoordinator::Start() {
   if (running_.exchange(true)) {
     return;
   }
+  PrepareSweep();
   thread_ = JoiningThread([this] { Loop(); });
+}
+
+void BarrierCoordinator::PrepareSweep() {
+  // The store outlives coordinators (rescales stop and start this one; a
+  // restarted engine builds a new one over the same store). Round ids
+  // continue past every round it holds, so a new round never reuses the id
+  // of an older snapshot, and the snapshots already there are listed once
+  // here instead of deleting by range from round 1.
+  uint64_t last = started_.load();
+  auto completed = ReadCompletedId(store_, options_.query);
+  if (completed.ok()) {
+    last = std::max(last, *completed);
+    latest_completed_.store(std::max(latest_completed_.load(), *completed));
+  }
+  stale_keys_ = store_->ScanKeys(SnapshotPrefix(options_.query));
+  for (const std::string& key : stale_keys_) {
+    last = std::max<uint64_t>(
+        last, std::strtoull(key.c_str() + key.rfind('/') + 1, nullptr, 10));
+  }
+  started_.store(last);
+  sweep_from_ = last + 1;
 }
 
 void BarrierCoordinator::Stop() {
@@ -107,6 +141,7 @@ void BarrierCoordinator::Loop() {
       inflight_id_ = id;
       pending_acks_ = std::set<std::string>(task_ids_.begin(),
                                             task_ids_.end());
+      declined_by_.clear();
     }
     started_.fetch_add(1);
     Status st = InjectBarriers(id);
@@ -118,29 +153,58 @@ void BarrierCoordinator::Loop() {
     // Wait for all acknowledgements (or the timeout; a timed-out checkpoint
     // is abandoned and the next round proceeds — Flink's failure handling).
     std::unique_lock<std::mutex> lock(mu_);
-    bool complete = cv_.wait_for(
-        lock, std::chrono::nanoseconds(options_.ack_timeout), [this] {
-          return pending_acks_.empty() || !running_.load();
-        });
+    cv_.wait_for(lock, std::chrono::nanoseconds(options_.ack_timeout), [this] {
+      return pending_acks_.empty() || !declined_by_.empty() ||
+             !running_.load();
+    });
     if (!running_.load()) {
       return;
     }
-    if (!complete || !pending_acks_.empty()) {
+    bool complete = pending_acks_.empty() && declined_by_.empty();
+    if (!declined_by_.empty()) {
+      LOG_WARN << "checkpoint " << id << " declined by " << declined_by_;
+    } else if (!complete) {
       LOG_WARN << "checkpoint " << id << " timed out with "
                << pending_acks_.size() << " missing acks";
-      continue;
     }
     inflight_id_ = 0;
     lock.unlock();
-    BinaryWriter w;
-    w.WriteVarU64(id);
-    Status put = store_->Put(CompletedMetaKey(options_.query), w.view());
-    if (!put.ok()) {
-      LOG_WARN << "checkpoint " << id << " meta write failed";
-      continue;
+    if (complete) {
+      Status st = CompleteRound(id);
+      if (!st.ok()) {
+        LOG_WARN << "checkpoint " << id
+                 << " completion write failed: " << st.ToString();
+      }
     }
-    latest_completed_.store(id);
   }
+}
+
+Status BarrierCoordinator::CompleteRound(uint64_t checkpoint_id) {
+  // The completed id and the deletes share one batch, so one modeled store
+  // round trip publishes the round and releases what it supersedes; a
+  // reader never sees the new id without the snapshots it names, nor the
+  // old snapshots gone without the new id.
+  std::vector<KvWriteOp> ops;
+  BinaryWriter w;
+  w.WriteVarU64(checkpoint_id);
+  ops.push_back({CompletedMetaKey(options_.query), w.Take()});
+  for (const std::string& key : stale_keys_) {
+    ops.push_back({key, std::nullopt});
+  }
+  for (uint64_t k = sweep_from_; k < checkpoint_id; ++k) {
+    for (const std::string& task : task_ids_) {
+      ops.push_back({SnapshotKey(task, k), std::nullopt});
+    }
+  }
+  size_t deletes = ops.size() - 1;
+  // On failure nothing was written; the next completion deletes the same
+  // snapshots (the sweep state moves only on success).
+  IMPELLER_RETURN_IF_ERROR(store_->WriteBatch(std::move(ops)));
+  stale_keys_.clear();
+  sweep_from_ = checkpoint_id;
+  snapshots_deleted_.fetch_add(deletes);
+  latest_completed_.store(checkpoint_id);
+  return OkStatus();
 }
 
 void BarrierCoordinator::AckCheckpoint(const std::string& task_id,
@@ -154,6 +218,55 @@ void BarrierCoordinator::AckCheckpoint(const std::string& task_id,
   if (pending_acks_.empty()) {
     cv_.notify_all();
   }
+}
+
+void BarrierCoordinator::DeclineCheckpoint(const std::string& task_id,
+                                           uint64_t checkpoint_id) {
+  TRACE_INSTANT("protocol", "checkpoint_decline");
+  std::lock_guard<std::mutex> lock(mu_);
+  if (checkpoint_id != inflight_id_ || !declined_by_.empty()) {
+    return;
+  }
+  declined_by_ = task_id;
+  cv_.notify_all();
+}
+
+std::string BarrierCoordinator::SnapshotKey(std::string_view task_id,
+                                            uint64_t checkpoint_id) {
+  std::string key = "actl/";
+  key += task_id;
+  key += '/';
+  key += std::to_string(checkpoint_id);
+  return key;
+}
+
+Result<std::optional<BarrierCoordinator::CompletedSnapshot>>
+BarrierCoordinator::ReadLatestSnapshot(KvStore* store,
+                                       const std::string& query,
+                                       std::string_view task_id) {
+  auto id = ReadCompletedId(store, query);
+  while (id.ok()) {
+    auto blob = store->Get(SnapshotKey(task_id, *id));
+    if (blob.ok()) {
+      return std::optional<CompletedSnapshot>(
+          CompletedSnapshot{*id, std::move(*blob)});
+    }
+    if (blob.status().code() != StatusCode::kNotFound) {
+      return blob.status();
+    }
+    // Either a newer round completed after `id` was read and deleted this
+    // snapshot, or the task had none in round `id`. Only the second case
+    // may start empty.
+    auto newer = ReadCompletedId(store, query);
+    if (!newer.ok()) {
+      return newer.status();
+    }
+    if (*newer <= *id) {
+      return std::optional<CompletedSnapshot>();
+    }
+    id = std::move(newer);
+  }
+  return std::optional<CompletedSnapshot>();  // no completed checkpoint
 }
 
 Result<uint64_t> BarrierCoordinator::ReadCompletedId(

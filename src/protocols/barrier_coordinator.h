@@ -6,6 +6,12 @@
 // task has acknowledged, the checkpoint is complete and becomes the global
 // recovery point. At most one checkpoint is in flight (matching the paper's
 // configuration).
+//
+// Only the latest completed checkpoint is ever restored, so completing
+// round N subsumes every older snapshot: the write that publishes N also
+// deletes each snapshot of a round below N (DESIGN.md §14). A task that
+// cannot finish its snapshot declines the round, and the coordinator
+// abandons it at once instead of waiting out the ack timeout.
 #ifndef IMPELLER_SRC_PROTOCOLS_BARRIER_COORDINATOR_H_
 #define IMPELLER_SRC_PROTOCOLS_BARRIER_COORDINATOR_H_
 
@@ -13,8 +19,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -53,6 +61,9 @@ class BarrierCoordinator {
 
   // Called by tasks after persisting their snapshot for `checkpoint_id`.
   void AckCheckpoint(const std::string& task_id, uint64_t checkpoint_id);
+  // Called by a task that could not snapshot or forward `checkpoint_id`:
+  // the round is abandoned now, and the next one starts after `interval`.
+  void DeclineCheckpoint(const std::string& task_id, uint64_t checkpoint_id);
 
   // Id of the latest globally completed checkpoint; 0 when none.
   uint64_t LatestCompleted() const { return latest_completed_.load(); }
@@ -62,11 +73,37 @@ class BarrierCoordinator {
   static Result<uint64_t> ReadCompletedId(KvStore* store,
                                           const std::string& query);
 
+  // Checkpoint-store key of `task_id`'s snapshot for round `checkpoint_id`.
+  static std::string SnapshotKey(std::string_view task_id,
+                                 uint64_t checkpoint_id);
+
+  struct CompletedSnapshot {
+    uint64_t checkpoint_id = 0;
+    std::string blob;
+  };
+  // Recovery read: `task_id`'s snapshot in the latest completed checkpoint,
+  // or nullopt when no checkpoint completed or the task has no snapshot in
+  // it (it did not exist yet). A round completing between the two lookups
+  // deletes the snapshot the first id names, so a missing snapshot is
+  // retried under the completed id for as long as that id advances.
+  static Result<std::optional<CompletedSnapshot>> ReadLatestSnapshot(
+      KvStore* store, const std::string& query, std::string_view task_id);
+
+  // Id of the latest round started (ids continue past the rounds an
+  // earlier coordinator left in the store).
   uint64_t checkpoints_started() const { return started_.load(); }
+  // Snapshot deletes issued by completing writes.
+  uint64_t snapshots_deleted() const { return snapshots_deleted_.load(); }
 
  private:
   void Loop();
   Status InjectBarriers(uint64_t checkpoint_id);
+  // Start(): continues round ids past every round the store has seen and
+  // lists the snapshots already in it, which the next completion deletes.
+  void PrepareSweep();
+  // Publishes `checkpoint_id` as completed and deletes every snapshot of an
+  // older round, in one store batch.
+  Status CompleteRound(uint64_t checkpoint_id);
 
   SharedLog* log_;
   KvStore* store_;
@@ -81,9 +118,18 @@ class BarrierCoordinator {
   std::condition_variable cv_;
   uint64_t inflight_id_ = 0;
   std::set<std::string> pending_acks_;
+  std::string declined_by_;  // non-empty: the in-flight round was declined
+
+  // Subsumption, owned by whoever runs the rounds (Start, then Loop).
+  // Snapshots found in the store at Start, all of rounds below any round
+  // this run starts; and the first round this run started, from which the
+  // configured tasks' snapshots are deleted by range.
+  std::vector<std::string> stale_keys_;
+  uint64_t sweep_from_ = 1;
 
   std::atomic<uint64_t> latest_completed_{0};
   std::atomic<uint64_t> started_{0};
+  std::atomic<uint64_t> snapshots_deleted_{0};
   std::atomic<bool> running_{false};
   std::atomic<uint64_t> seq_{0};
   JoiningThread thread_;

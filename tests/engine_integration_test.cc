@@ -14,6 +14,7 @@ namespace impeller {
 namespace {
 
 using testutil::FastConfig;
+using testutil::Numbered;
 using testutil::ReadEgressLines;
 using testutil::ReadWordCounts;
 using testutil::WaitFor;
@@ -120,7 +121,7 @@ TEST(EngineIntegrationTest, GarbageCollectionTrimsConsumedPrefix) {
   auto poll = [&] { ASSERT_TRUE((*consumer)->PollAll().ok()); };
   for (int round = 0; round < 20; ++round) {
     for (int i = 0; i < 20; ++i) {
-      (*producer)->Send("k", "w" + std::to_string(i));
+      (*producer)->Send("k", Numbered("w", i));
     }
     ASSERT_TRUE((*producer)->Flush().ok());
     MonotonicClock::Get()->SleepFor(30 * kMillisecond);
@@ -229,9 +230,9 @@ TEST(EngineIntegrationTest, StreamStreamJoinPipeline) {
   ASSERT_TRUE(left.ok());
   ASSERT_TRUE(right.ok());
   for (int i = 0; i < 10; ++i) {
-    std::string key = "k" + std::to_string(i);
-    (*left)->Send(key, "L" + std::to_string(i));
-    (*right)->Send(key, "R" + std::to_string(i));
+    std::string key = Numbered("k", i);
+    (*left)->Send(key, Numbered("L", i));
+    (*right)->Send(key, Numbered("R", i));
   }
   ASSERT_TRUE((*left)->Flush().ok());
   ASSERT_TRUE((*right)->Flush().ok());
@@ -287,12 +288,12 @@ Result<JoinRun> RunJoinRecovery(ProtocolKind protocol, bool crash) {
                        const std::vector<TimeNs>& right_ms,
                        size_t results) -> Status {
     for (int k = 0; k < kJoinKeys; ++k) {
-      std::string key = "k" + std::to_string(k);
+      std::string key = Numbered("k", k);
       for (TimeNs ms : left_ms) {
-        (*left)->Send(key, "L" + std::to_string(ms), ms * kMillisecond);
+        (*left)->Send(key, Numbered("L", ms), ms * kMillisecond);
       }
       for (TimeNs ms : right_ms) {
-        (*right)->Send(key, "R" + std::to_string(ms), ms * kMillisecond);
+        (*right)->Send(key, Numbered("R", ms), ms * kMillisecond);
       }
     }
     IMPELLER_RETURN_IF_ERROR((*left)->Flush().status());

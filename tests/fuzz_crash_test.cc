@@ -21,6 +21,7 @@ using fault::FaultInjector;
 using fault::FaultKind;
 using fault::FaultSchedule;
 using testutil::FastConfig;
+using testutil::Numbered;
 using testutil::ReadWordCounts;
 using testutil::WaitFor;
 using testutil::WordCountPlan;
@@ -96,7 +97,7 @@ TEST_P(CrashFuzz, ExactlyOnceUnderSeededCrashSchedules) {
       // A burst of input...
       int lines = static_cast<int>(rng.NextRange(5, 25));
       for (int i = 0; i < lines; ++i) {
-        (*producer)->Send("k" + std::to_string(rng.NextBounded(16)),
+        (*producer)->Send(Numbered("k", rng.NextBounded(16)),
                           "fuzz words here");
       }
       ASSERT_TRUE(testutil::FlushUntilDrained(**producer, clock).ok());

@@ -166,6 +166,52 @@ TEST(EgressRetentionTest, BufferedRecordsStayPinnedPastTheConsumer) {
   EXPECT_EQ(after->lsn, held);
 }
 
+// A consumer opened after GC trimmed its substream starts at the trim
+// point: its first PollAll returns the records the log still holds
+// instead of failing on the trimmed prefix.
+TEST(EgressRetentionTest, LateConsumerStartsAtTheTrimPoint) {
+  SharedLog log;
+  GcRegistry registry;
+  const std::string stream = "out";
+  const std::string tag = DataTag(stream, 0);
+  registry.PublishFloor(EgressFloorGroup(tag), 0);
+  auto append = [&](uint64_t seq) {
+    RecordHeader h;
+    h.type = RecordType::kData;
+    h.producer = "up/0";
+    h.instance = 1;
+    h.seq = seq;
+    DataBody body;
+    body.key = "k";
+    body.value = std::to_string(seq);
+    body.event_time = 1;
+    AppendRequest req;
+    req.tags = {tag};
+    req.payload = EncodeEnvelope(h, EncodeDataBody(body));
+    ASSERT_TRUE(log.Append(std::move(req)).ok());
+  };
+  for (uint64_t seq = 1; seq <= 4; ++seq) {
+    append(seq);
+  }
+  EgressConsumer first(&log, stream, 0, /*read_committed=*/false, &registry);
+  auto read = first.PollAll();
+  ASSERT_TRUE(read.ok());
+  ASSERT_EQ(read->size(), 4u);
+  ASSERT_TRUE(first.PollAll().ok());  // acknowledges the four
+  GcWorker worker(&log, &registry, kSecond);
+  worker.RunOnce();
+  ASSERT_EQ(log.TrimPoint(), 4u);
+  append(5);
+  append(6);
+
+  EgressConsumer late(&log, stream, 0, /*read_committed=*/false, &registry);
+  auto rest = late.PollAll();
+  ASSERT_TRUE(rest.ok()) << rest.status().ToString();
+  ASSERT_EQ(rest->size(), 2u);
+  EXPECT_EQ((*rest)[0].data.value, "5");
+  EXPECT_EQ((*rest)[1].data.value, "6");
+}
+
 // Feeds the word-count pipeline in rounds, calling `poll` after each
 // round. Keys vary so every ingress substream carries records: a reader
 // that never consumes pins the log at 0 as surely as an unread egress.

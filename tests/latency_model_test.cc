@@ -10,6 +10,7 @@
 namespace impeller {
 namespace {
 
+using testutil::Numbered;
 using testutil::FastConfig;
 using testutil::ReadWordCounts;
 using testutil::WaitFor;
@@ -70,7 +71,7 @@ TEST(LatencyModelTest, WordCountExactUnderBokiLatency) {
   auto producer = engine.NewProducer("gen", "lines");
   ASSERT_TRUE(producer.ok());
   for (int i = 0; i < 30; ++i) {
-    (*producer)->Send("k" + std::to_string(i), "real latency run");
+    (*producer)->Send(Numbered("k", i), "real latency run");
   }
   ASSERT_TRUE((*producer)->Flush().ok());
 

@@ -11,6 +11,7 @@ namespace impeller {
 namespace {
 
 using testutil::FastConfig;
+using testutil::Numbered;
 using testutil::WaitFor;
 
 TEST(NexmarkGeneratorTest, EventMixMatchesPaper) {
@@ -106,7 +107,7 @@ TEST(NexmarkQueriesTest, AllQueriesBuild) {
   for (int q = 1; q <= 8; ++q) {
     auto plan = BuildNexmarkQuery(q);
     ASSERT_TRUE(plan.ok()) << "Q" << q << ": " << plan.status().ToString();
-    EXPECT_EQ(plan->name, "q" + std::to_string(q));
+    EXPECT_EQ(plan->name, Numbered("q", q));
     EXPECT_NE(plan->FindStage(NexmarkSinkStage(q)), nullptr) << "Q" << q;
   }
   EXPECT_FALSE(BuildNexmarkQuery(0).ok());
@@ -167,7 +168,7 @@ TEST_P(NexmarkEndToEnd, ProducesOutput) {
 INSTANTIATE_TEST_SUITE_P(Queries, NexmarkEndToEnd,
                          ::testing::Range(1, 9),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "Q" + std::to_string(info.param);
+                           return testutil::Numbered("Q", info.param);
                          });
 
 TEST(NexmarkSemanticsTest, Q2OutputsOnlyMatchingAuctions) {

@@ -7,9 +7,12 @@
 #include "src/core/record.h"
 #include "src/core/stream.h"
 #include "src/sharedlog/shared_log.h"
+#include "tests/test_util.h"
 
 namespace impeller {
 namespace {
+
+using testutil::Numbered;
 
 RecordHeader SampleHeader(uint64_t seq) {
   RecordHeader h;
@@ -62,7 +65,7 @@ TEST(OutputBufferTest, FlushedRecordsShareOneAllocationAndDecode) {
   OutputBuffer buffer(&log, 1 << 20);
   for (uint64_t seq = 1; seq <= 3; ++seq) {
     EncodeRecordInto(buffer, OutputBuffer::Kind::kOutput, "d/X/0", seq,
-                     "k" + std::to_string(seq), "v" + std::to_string(seq));
+                     Numbered("k", seq), Numbered("v", seq));
   }
   auto result = buffer.Flush();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -84,7 +87,7 @@ TEST(OutputBufferTest, FlushedRecordsShareOneAllocationAndDecode) {
     EXPECT_EQ(env->seq, seq);
     auto data = DecodeDataView(env->body);
     ASSERT_TRUE(data.ok());
-    EXPECT_EQ(data->key, "k" + std::to_string(seq));
+    EXPECT_EQ(data->key, Numbered("k", seq));
     const std::string* base = &*entry->payload.buffer();
     if (shared_base == nullptr) {
       shared_base = base;

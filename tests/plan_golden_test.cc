@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "src/nexmark/plan_queries.h"
+#include "tests/test_util.h"
 
 #ifndef IMPELLER_GOLDEN_DIR
 #error "IMPELLER_GOLDEN_DIR must point at tests/golden"
@@ -21,6 +22,8 @@
 
 namespace impeller {
 namespace {
+
+using testutil::Numbered;
 
 bool g_regen = false;
 
@@ -68,7 +71,7 @@ TEST_P(PlanGoldenTest, ExplainMatchesCommittedGolden) {
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, PlanGoldenTest, ::testing::Range(1, 9),
                          [](const auto& info) {
-                           return "Q" + std::to_string(info.param);
+                           return Numbered("Q", info.param);
                          });
 
 }  // namespace

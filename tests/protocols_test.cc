@@ -13,6 +13,7 @@
 namespace impeller {
 namespace {
 
+using testutil::Numbered;
 using testutil::FastConfig;
 using testutil::ReadWordCounts;
 using testutil::WaitFor;
@@ -30,7 +31,7 @@ TEST_P(ProtocolSweep, WordCountProducesExactCounts) {
   auto producer = engine.NewProducer("gen", "lines");
   ASSERT_TRUE(producer.ok());
   for (int i = 0; i < 40; ++i) {
-    (*producer)->Send("l" + std::to_string(i), "apple banana apple");
+    (*producer)->Send(Numbered("l", i), "apple banana apple");
   }
   ASSERT_TRUE((*producer)->Flush().ok());
 
@@ -185,14 +186,15 @@ TEST(AlignedCheckpointTest, CheckpointsCompleteAndStatePersists) {
   ASSERT_TRUE(WaitFor([&] { return coordinator->LatestCompleted() >= 2; },
                       20 * kSecond))
       << "completed " << coordinator->LatestCompleted() << " checkpoints";
-  // Snapshots for every task exist in the checkpoint store.
+  // Snapshots for every task exist in the checkpoint store. Stopped first:
+  // a round completing meanwhile would delete the snapshots it supersedes.
+  engine.Stop();
   uint64_t id = coordinator->LatestCompleted();
   for (const auto& task : engine.tasks()->AllTaskIds()) {
     EXPECT_TRUE(engine.checkpoint_store()->Contains(
-        "actl/" + task + "/" + std::to_string(id)))
+        BarrierCoordinator::SnapshotKey(task, id)))
         << task;
   }
-  engine.Stop();
 }
 
 TEST(AlignedCheckpointTest, GlobalRollbackRecoversExactCounts) {

@@ -19,6 +19,7 @@ namespace impeller {
 namespace {
 
 using testutil::FastConfig;
+using testutil::Numbered;
 using testutil::ReadEgressLines;
 using testutil::WaitFor;
 
@@ -59,7 +60,7 @@ void FeedWindow(IngressProducer& producer, int window) {
   int i = 0;
   for (int j = 0; j < kKeys; ++j) {
     for (int occ = 0; occ < Occurrences(j, window); ++occ) {
-      producer.Send("k" + std::to_string(j), "x",
+      producer.Send(Numbered("k", j), "x",
                     start + (++i) * kMillisecond);
     }
   }
@@ -456,7 +457,7 @@ TEST(AutoscalerTest, ClosedLoopScalesStatefulStageUnderBacklog) {
   while (engine.autoscaler()->decisions_up() == 0 &&
          clock->Now() < deadline) {
     for (int i = 0; i < 2000; ++i) {
-      (*producer)->Send("k" + std::to_string(sent % 64), "x");
+      (*producer)->Send(Numbered("k", sent % 64), "x");
       ++sent;
     }
     ASSERT_TRUE((*producer)->Flush().ok());

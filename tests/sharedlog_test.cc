@@ -8,9 +8,12 @@
 
 #include "src/common/threading.h"
 #include "src/sharedlog/shared_log.h"
+#include "tests/test_util.h"
 
 namespace impeller {
 namespace {
+
+using testutil::Numbered;
 
 AppendRequest Req(std::vector<std::string> tags, std::string payload) {
   AppendRequest req;
@@ -22,7 +25,7 @@ AppendRequest Req(std::vector<std::string> tags, std::string payload) {
 TEST(SharedLogTest, AppendAssignsDenseLsns) {
   SharedLog log;
   for (uint64_t i = 0; i < 10; ++i) {
-    auto lsn = log.Append(Req({"a"}, "p" + std::to_string(i)));
+    auto lsn = log.Append(Req({"a"}, Numbered("p", i)));
     ASSERT_TRUE(lsn.ok());
     EXPECT_EQ(*lsn, i);
   }

@@ -10,9 +10,13 @@
 #include "src/common/rng.h"
 #include "src/common/serde.h"
 #include "src/core/state_store.h"
+#include "tests/test_util.h"
 
 namespace impeller {
 namespace {
+
+using testutil::Cat;
+using testutil::Numbered;
 
 TEST(StateStoreTest, PutGetDelete) {
   MapStateStore store("s", nullptr);
@@ -68,7 +72,7 @@ TEST(StateStoreTest, ScanPrefixAndRange) {
 TEST(StateStoreTest, ScanEarlyStop) {
   MapStateStore store("s", nullptr);
   for (int i = 0; i < 10; ++i) {
-    store.Put("k" + std::to_string(i), "v");
+    store.Put(Numbered("k", i), "v");
   }
   int visited = 0;
   store.ScanPrefix("k", [&](std::string_view, std::string_view) {
@@ -96,7 +100,7 @@ TEST(StateStoreTest, DeleteRangeCapturesDeletions) {
 TEST(StateStoreTest, SnapshotRestoreRoundTrip) {
   MapStateStore store("s", nullptr);
   for (int i = 0; i < 100; ++i) {
-    store.Put("key" + std::to_string(i), std::string(i, 'v'));
+    store.Put(Numbered("key", i), std::string(i, 'v'));
   }
   std::string blob = store.SerializeSnapshot();
   MapStateStore restored("s", nullptr);
@@ -122,11 +126,11 @@ TEST(StateStoreTest, ReplayEquivalenceProperty) {
                                   c.is_delete, std::string(c.value)});
     });
     for (int op = 0; op < 200; ++op) {
-      std::string key = "k" + std::to_string(rng.NextBounded(30));
+      std::string key = Numbered("k", rng.NextBounded(30));
       if (rng.NextBool(0.3)) {
         original.Delete(key);
       } else {
-        original.Put(key, "v" + std::to_string(rng.NextU64() % 1000));
+        original.Put(key, Numbered("v", rng.NextU64() % 1000));
       }
     }
     MapStateStore replayed("s", nullptr);
@@ -230,8 +234,7 @@ class TimeIndexTest : public ::testing::Test {
   TimeIndexTest()
       : store_("s",
                [this](const ChangeLogView& c) {
-                 captured_.push_back((c.is_delete ? "-" : "+") +
-                                     std::string(c.key));
+                 captured_.push_back(Cat(c.is_delete ? "-" : "+", c.key));
                },
                &ctx_) {
     store_.IndexByTime(TimeOf);
@@ -251,7 +254,7 @@ class TimeIndexTest : public ::testing::Test {
     store_.ScanPrefix("", [&](std::string_view key, std::string_view value) {
       std::optional<TimeNs> t = TimeOf(value);
       if (t && *t < horizon) {
-        expected.push_back("-" + std::string(key));
+        expected.push_back(Cat("-", key));
       } else {
         kept.emplace_back(key);
       }
@@ -275,7 +278,7 @@ class TimeIndexTest : public ::testing::Test {
 
 TEST_F(TimeIndexTest, Put) {
   for (int i = 0; i < 20; ++i) {
-    store_.Put("k" + std::to_string(i), Timed((i * 7) % 20));
+    store_.Put(Numbered("k", i), Timed((i * 7) % 20));
   }
   ExpectExpiresLikeScan(10);
 }
@@ -297,10 +300,10 @@ TEST_F(TimeIndexTest, PutReplacingValueMovesItsTime) {
 
 TEST_F(TimeIndexTest, Delete) {
   for (int i = 0; i < 20; ++i) {
-    store_.Put("k" + std::to_string(i), Timed(i));
+    store_.Put(Numbered("k", i), Timed(i));
   }
   for (int i = 0; i < 20; i += 2) {
-    store_.Delete("k" + std::to_string(i));
+    store_.Delete(Numbered("k", i));
   }
   store_.DeleteRange("k15", "k17");
   ExpectExpiresLikeScan(10);
@@ -308,7 +311,7 @@ TEST_F(TimeIndexTest, Delete) {
 
 TEST_F(TimeIndexTest, ApplyChange) {
   for (int i = 0; i < 20; ++i) {
-    store_.ApplyChange(ChangeLogView{"s", "k" + std::to_string(i), false,
+    store_.ApplyChange(ChangeLogView{"s", Numbered("k", i), false,
                                      Timed(i), 0});
   }
   store_.ApplyChange(ChangeLogView{"s", "k3", true, {}, 0});
@@ -319,11 +322,11 @@ TEST_F(TimeIndexTest, ApplyChange) {
 
 TEST_F(TimeIndexTest, RestoreSnapshot) {
   for (int i = 0; i < 20; ++i) {
-    store_.Put("stale" + std::to_string(i), Timed(i));
+    store_.Put(Numbered("stale", i), Timed(i));
   }
   MapStateStore source("s", nullptr);
   for (int i = 0; i < 20; ++i) {
-    source.Put("k" + std::to_string(i), Timed((i * 3) % 20));
+    source.Put(Numbered("k", i), Timed((i * 3) % 20));
   }
   ASSERT_TRUE(store_.RestoreSnapshot(source.SerializeSnapshot()).ok());
   ExpectExpiresLikeScan(10);
@@ -331,14 +334,14 @@ TEST_F(TimeIndexTest, RestoreSnapshot) {
 
 TEST_F(TimeIndexTest, MergeSnapshotWithOwnerFilter) {
   for (int i = 0; i < 10; ++i) {
-    store_.Put("k" + std::to_string(i), Timed(i));
+    store_.Put(Numbered("k", i), Timed(i));
   }
   uint32_t source_ctx = 0;
   MapStateStore source("s", nullptr, &source_ctx);
   for (int i = 0; i < 20; ++i) {
     source_ctx = i % 2;
     // Overlapping keys k0..k9 move their time; only odd owners merge.
-    source.Put("k" + std::to_string(i), Timed(20 - i));
+    source.Put(Numbered("k", i), Timed(20 - i));
   }
   ASSERT_TRUE(store_
                   .MergeSnapshot(source.SerializeSnapshot(),
@@ -351,7 +354,7 @@ TEST_F(TimeIndexTest, MergeSnapshotWithOwnerFilter) {
 TEST_F(TimeIndexTest, RetainOwned) {
   for (int i = 0; i < 20; ++i) {
     ctx_ = i % 3;
-    store_.Put("k" + std::to_string(i), Timed(i));
+    store_.Put(Numbered("k", i), Timed(i));
   }
   store_.RetainOwned([](uint32_t& owner) { return owner != 1; });
   ExpectExpiresLikeScan(10);
@@ -359,12 +362,12 @@ TEST_F(TimeIndexTest, RetainOwned) {
 
 TEST_F(TimeIndexTest, Clear) {
   for (int i = 0; i < 20; ++i) {
-    store_.Put("old" + std::to_string(i), Timed(i));
+    store_.Put(Numbered("old", i), Timed(i));
   }
   store_.Clear();
   EXPECT_EQ(store_.DeleteOlderThan(100), 0u);
   for (int i = 0; i < 20; ++i) {
-    store_.Put("k" + std::to_string(i), Timed(19 - i));
+    store_.Put(Numbered("k", i), Timed(19 - i));
   }
   ExpectExpiresLikeScan(10);
 }
@@ -372,7 +375,7 @@ TEST_F(TimeIndexTest, Clear) {
 TEST_F(TimeIndexTest, IndexesExistingEntriesAndSkipsUnreadableValues) {
   store_.IndexByTime(nullptr);
   for (int i = 0; i < 20; ++i) {
-    store_.Put("k" + std::to_string(i), Timed(i));
+    store_.Put(Numbered("k", i), Timed(i));
   }
   store_.Put("k3", "");  // no time: never indexed, never expired
   EXPECT_EQ(store_.DeleteOlderThan(100), 0u) << "no index, no expiry";
@@ -385,7 +388,7 @@ TEST_F(TimeIndexTest, RandomMutationsMatchScan) {
   Rng rng(91);
   for (int round = 0; round < 20; ++round) {
     for (int op = 0; op < 200; ++op) {
-      std::string key = "k" + std::to_string(rng.NextBounded(50));
+      std::string key = Numbered("k", rng.NextBounded(50));
       TimeNs t = static_cast<TimeNs>(rng.NextBounded(100));
       ctx_ = static_cast<uint32_t>(rng.NextBounded(3));
       switch (rng.NextBounded(4)) {
@@ -406,7 +409,7 @@ TEST_F(TimeIndexTest, RandomMutationsMatchScan) {
     std::vector<std::string> expected;
     store_.ScanPrefix("", [&](std::string_view key, std::string_view value) {
       if (*TimeOf(value) < horizon) {
-        expected.push_back("-" + std::string(key));
+        expected.push_back(Cat("-", key));
       }
       return true;
     });

@@ -19,6 +19,20 @@
 namespace impeller {
 namespace testutil {
 
+// `prefix` followed by `rest`. Appending to a std::string keeps Release
+// builds free of GCC 12's false -Wrestrict on the inlined insert of
+// `"literal" + std::string(...)`.
+inline std::string Cat(std::string_view prefix, std::string_view rest) {
+  std::string s(prefix);
+  s += rest;
+  return s;
+}
+
+// `prefix` followed by `n` in decimal.
+inline std::string Numbered(std::string_view prefix, long long n) {
+  return Cat(prefix, std::to_string(n));
+}
+
 // Arms the process-wide fault injector for one scope. Always declare it
 // *after* the Engine whose MetricsRegistry it feeds: the destructor disarms
 // (detaching the registry) before the engine dies.
